@@ -296,15 +296,15 @@ def test_replay_throughput(record):
     }
     # History records every run; the baseline is only replaced when the
     # regression gate passes, so a failing run cannot ratchet the committed
-    # BENCH_replay.json down and green-light its own rerun.  The scheduled
-    # section (owned by test_scheduled_replay_throughput) is carried over.
+    # BENCH_replay.json down and green-light its own rerun.  Only this
+    # test's own keys are merged in: the ``scheduled`` and ``streaming``
+    # sections belong to their own tests and must survive this rewrite.
     _append_history(payload)
     regressions = _check_regressions(baseline, payload)
     if not regressions:
-        scheduled = _load_bench().get("scheduled")
-        if scheduled is not None:
-            payload["scheduled"] = scheduled
-        BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        merged = _load_bench()
+        merged.update(payload)
+        BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
 
     lines = [
         "Replay throughput (wall-clock requests/second)",

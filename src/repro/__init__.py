@@ -71,7 +71,7 @@ from .disksim import (
 )
 from .sim import LbnRangeShard, ReplayStats, Trace, TraceRecordingDrive, TraceReplayEngine
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Campaign",

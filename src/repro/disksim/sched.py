@@ -49,7 +49,8 @@ axes and the CLI can select them declaratively.
 
 Every registered policy also implements the **kernel vectorization
 contract** used by the event-batched replay kernel
-(:func:`repro.sim.kernel.replay_kernel_sched`): ``kernel_select`` scores
+(:func:`repro.sim.kernel._service_shard_sched`, run by the stream drivers
+of :mod:`repro.sim.stream`): ``kernel_select`` scores
 the whole pending queue against precomputed geometry columns (a
 :class:`KernelQueueView`) and returns the position the scalar ``_select``
 would have picked, bitwise-identically -- the kernel never re-implements
@@ -99,7 +100,8 @@ KERNEL_SMALL_QUEUE = 48
 class KernelQueueView:
     """Columnar snapshot of a drive's pending queue for the replay kernel.
 
-    Built once per shard by :func:`repro.sim.kernel.replay_kernel_sched`;
+    Built once per shard-local chunk by
+    :func:`repro.sim.kernel._service_shard_sched`;
     each column holds one value per *trace request* (indexed by request
     index, not queue position) as both a numpy array and a plain Python
     list twin, so policy hooks can score small queues without touching

@@ -1,4 +1,4 @@
-"""The batched trace-replay engine.
+"""The trace-replay engine: replay configuration and its statistics.
 
 :class:`TraceReplayEngine` replays a :class:`~repro.sim.trace.Trace`
 against one drive or an :class:`~repro.sim.shard.LbnRangeShard` fleet and
@@ -7,30 +7,29 @@ supported:
 
 * **open** replay -- requests are issued at the timestamps recorded in the
   trace; each drive applies its own actuator/bus availability, so queueing
-  develops naturally when arrivals outrun service.  Per-shard streams are
-  serviced through :meth:`DiskDrive.submit_batch`, which amortizes the
-  Python-level per-request overhead (the whole point of this engine).
-* **closed** replay -- trace timestamps are ignored; each drive keeps
-  exactly one request outstanding (onereq semantics, Section 5.2 of the
-  paper) and the fleet-wide interleaving is driven by an event heap keyed
-  on per-drive completion times.
+  develops naturally when arrivals outrun service.
+* **closed** replay -- trace timestamps are ignored; each drive keeps up to
+  ``queue_depth`` requests outstanding, admitting the next trace request
+  when one completes (depth 1 is the onereq semantics of Section 5.2 of
+  the paper).
 
-Both disciplines are deterministic: the same trace on a fresh fleet always
-produces bitwise-identical statistics.
+A one-shot replay is a stream of one chunk: :meth:`TraceReplayEngine.replay`
+and :meth:`~TraceReplayEngine.replay_closed` hand the trace to the drivers
+in :mod:`repro.sim.stream`, which choose between the columnar kernels of
+:mod:`repro.sim.kernel` and the exact scalar loops and aggregate every
+result.  Both disciplines are deterministic: the same trace on a fresh
+fleet always produces bitwise-identical statistics, whatever the path or
+the chunking.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from ..analysis.stats import summarize
-from ..disksim.drive import BatchResult, DiskDrive, DiskRequest, DriveStats
+from ..disksim.drive import DiskDrive
 from ..disksim.errors import RequestError
 from ..disksim.sched import Scheduler, make_scheduler
-from ..faults import fleet_fault_extras
 from .shard import LbnRangeShard
 from .trace import Trace
 
@@ -116,47 +115,48 @@ class ReplayStats:
 class TraceReplayEngine:
     """Replay request traces against a drive or a sharded fleet.
 
-    ``fast`` selects the replay implementation for open replays:
+    ``fast`` selects the replay implementation:
 
-    * ``None`` (default) -- auto: use the columnar numpy kernel
-      (:mod:`repro.sim.kernel`) whenever it is applicable, otherwise the
-      scalar batched path.  Results are bitwise identical either way.
-    * ``True``  -- same as auto (the flag exists so configs can pin it).
-    * ``False`` -- always use the scalar batched path.
+    * ``None`` (default) or ``True`` -- use the columnar numpy kernels
+      (:mod:`repro.sim.kernel`) whenever they are applicable, otherwise
+      the exact scalar path.  Results are bitwise identical either way.
+      ``True`` exists so configs can pin it; both normalize to
+      ``self.fast = True``.
+    * ``False`` -- always use the exact scalar path.
 
     After every replay, :attr:`last_replay_path` reports which
     implementation ran (``"kernel"`` for the columnar FCFS open kernel,
-    ``"kernel_sched"`` for the event-batched scheduled kernel, or
-    ``"scalar"``) and :attr:`last_fast_reason` is normalized to a stable
-    vocabulary: ``"ok"`` whenever a fast path ran, ``"fast disabled"``
-    when ``fast=False`` pinned the scalar path, and otherwise exactly one
-    documented refusal string from :mod:`repro.sim.kernel` --
-    ``"numpy unavailable"``, ``"empty trace"``,
+    ``"kernel_sched"`` for the event-batched scheduled kernel,
+    ``"scalar"``, or ``"mixed"`` for a stream whose chunks took both
+    kernel and scalar paths) and :attr:`last_fast_reason` is normalized
+    to a stable vocabulary: ``"ok"`` whenever a fast path ran, ``"fast
+    disabled"`` when ``fast=False`` pinned the scalar path, and otherwise
+    exactly one documented refusal string from :mod:`repro.sim.kernel` --
+    ``"numpy unavailable"``,
     ``"fault injection active"`` (a fault schedule is attached, so only
     the exact scalar path -- which advances the seeded fault RNG in
     service order -- may produce numbers),
-    ``"defective geometry"``,
-    ``"out-of-order bus"``, ``"warm firmware cache (reset=False)"``,
+    ``"defective geometry"``, ``"out-of-order bus"``,
     ``"unknown opcode"``, ``"invalid request"``,
     ``"request exceeds fleet capacity"``,
     ``"shard-boundary-crossing requests"``,
-    ``"firmware-cache-sensitive reuse"`` or
-    ``"scheduler not kernel-vectorizable"``.  Streaming replays
-    (:meth:`replay_stream`/:meth:`replay_closed_stream`) may additionally
-    report ``last_replay_path == "mixed"`` (kernel and scalar chunks in
-    one stream) and the refusal
-    ``"scheduler not chunk-vectorizable"`` (scheduled streams run the
-    exact scalar queue loops).
+    ``"firmware-cache-sensitive reuse"`` (also reported when a warm
+    ``reset=False`` replay would read what earlier replays cached) or
+    ``"scheduler not kernel-vectorizable"`` -- or, for a scheduled
+    stream of more than one chunk, ``"scheduler not chunk-vectorizable"``
+    (its pending queues cannot be carried across kernel chunks, so it runs
+    the exact scalar queue loops).
 
     ``scheduler`` selects the drive-level dispatch policy (a name from
     :func:`repro.disksim.sched.available_schedulers`, a
     :class:`~repro.disksim.sched.Scheduler` instance used as a per-drive
-    prototype, or ``None`` = FCFS).  Under FCFS the engine keeps its classic
-    batched/kernel fast paths and is bitwise identical to the
-    pre-scheduler engine.  Any other policy replays through the
-    event-batched scheduled kernel (:func:`repro.sim.kernel.replay_kernel_sched`,
-    ``last_replay_path == "kernel_sched"``) whenever it is applicable,
-    falling back to the exact scalar queue loop otherwise; results are
+    prototype, or ``None`` = FCFS).  Under FCFS open replay uses the
+    columnar FCFS kernel chunk by chunk.  Any other policy, and every
+    closed replay, uses the event-batched scheduled kernel
+    (``last_replay_path == "kernel_sched"``) when it is applicable; for a
+    non-FCFS policy or ``queue_depth > 1`` that means a stream of one
+    chunk -- every one-shot replay, and a ``service`` run that fits one
+    chunk.  Otherwise the exact scalar queue loop runs; results are
     bitwise identical either way.
 
     ``queue_depth`` applies to closed replay only: each drive keeps up to
@@ -185,365 +185,46 @@ class TraceReplayEngine:
         else:
             self.fleet = LbnRangeShard(list(target))
         self.batch_size = batch_size
-        self.fast = fast
+        self.fast = True if fast is None else bool(fast)
         self.scheduler = make_scheduler(scheduler, starvation_ms)
         self.scheduler_name = self.scheduler.name
         self.queue_depth = queue_depth
         self.last_replay_path: str | None = None
         self.last_fast_reason: str | None = None
 
-    def _try_kernel_sched(
-        self,
-        trace: Trace,
-        mode: str,
-        think_ms: float,
-        reset: bool,
-        record_forced: bool,
-    ) -> ReplayStats | None:
-        """Attempt the event-batched scheduled kernel; ``None`` on refusal.
-
-        Sets :attr:`last_replay_path`/:attr:`last_fast_reason` for both
-        outcomes (``"kernel_sched"``/``"ok"`` on success, the refusal
-        reason otherwise); on refusal the caller runs the scalar loop.
-        """
-        if self.fast is None or self.fast:
-            from .kernel import replay_kernel_sched
-
-            stats, reason = replay_kernel_sched(
-                self.fleet,
-                trace,
-                self.scheduler,
-                mode=mode,
-                queue_depth=self.queue_depth,
-                think_ms=think_ms,
-                reset=reset,
-                record_forced=record_forced,
-            )
-            if stats is not None:
-                self.last_replay_path = "kernel_sched"
-                self.last_fast_reason = "ok"
-                return stats
-            self.last_fast_reason = reason
-        else:
-            self.last_fast_reason = "fast disabled"
-        self.last_replay_path = "scalar"
-        return None
-
     # ------------------------------------------------------------------ #
-    # Open replay
+    # One-shot replay: a stream of one chunk
     # ------------------------------------------------------------------ #
     def replay(self, trace: Trace, reset: bool = True) -> ReplayStats:
         """Open replay: issue every request at its trace timestamp.
 
-        The trace is routed shard by shard in global issue order, then each
-        shard's stream is serviced in batches.  Identical to submitting
-        every request individually with :meth:`DiskDrive.submit` -- the
-        batched path is numerically exact -- but several times faster.
-
-        When the columnar kernel is enabled (``fast`` is ``None`` or
-        ``True``) and applicable, the whole trace is serviced with numpy
-        array math instead; the returned statistics are bitwise identical.
-
-        With a non-FCFS scheduler the replay goes through the scheduled
-        queue path (see :meth:`_replay_open_scheduled`), which itself
-        prefers the event-batched scheduled kernel.
+        An unordered trace is first sorted by issue time.  The replay is
+        :meth:`replay_stream` of a one-chunk stream, so it takes the same
+        path a streamed replay would: the columnar kernel when applicable
+        (``"kernel"`` under FCFS, ``"kernel_sched"`` under any other
+        policy), otherwise the exact scalar batched path or scalar queue
+        loop.  Results are bitwise identical on every path.
         """
-        if self.scheduler_name != "fcfs":
-            return self._replay_open_scheduled(trace, reset=reset)
-        if self.fast is None or self.fast:
-            from .kernel import replay_kernel
+        from .stream import TraceStream, replay_stream
 
-            stats, reason = replay_kernel(self.fleet, trace, reset=reset)
-            if stats is not None:
-                self.last_replay_path = "kernel"
-                self.last_fast_reason = "ok"
-                return stats
-            self.last_fast_reason = reason
-        else:
-            self.last_fast_reason = "fast disabled"
-        self.last_replay_path = "scalar"
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
         ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-        shard_ops, shard_lbns, shard_counts, shard_times = self._route_open(ordered)
+        return replay_stream(self, TraceStream([ordered], validate=False), reset)
 
-        batch = self.batch_size
-        results: list[BatchResult] = []
-        for shard, drive in enumerate(fleet.drives):
-            result = BatchResult()
-            ops = shard_ops[shard]
-            for lo in range(0, len(ops), batch):
-                hi = lo + batch
-                drive.submit_batch(
-                    ops[lo:hi],
-                    shard_lbns[shard][lo:hi],
-                    shard_counts[shard][lo:hi],
-                    shard_times[shard][lo:hi],
-                    out=result,
-                )
-            results.append(result)
-        return self._aggregate(
-            ordered, results, "open", before, split_before, fault_before
-        )
-
-    def _route_open(
-        self, ordered: Trace
-    ) -> tuple[list, list, list, list]:
-        """Route a time-ordered trace into per-shard request columns.
-
-        Returns ``(ops, lbns, counts, issue_times)``, each a list with one
-        per-shard column.  Single-drive fleets reuse the trace columns
-        directly; multi-drive fleets take the inlined single-shard routing
-        with the general splitting path for boundary-crossing requests.
-        """
-        fleet = self.fleet
-        n_shards = len(fleet)
-        if n_shards == 1:
-            # Single-drive replay: the trace columns feed the service loop
-            # directly, no per-request routing work at all.
-            fleet.routed_requests += len(ordered)
-            return (
-                [ordered.ops],
-                [ordered.lbns],
-                [ordered.counts],
-                [ordered.issue_ms],
-            )
-        shard_ops: list[list] = [[] for _ in range(n_shards)]
-        shard_lbns: list[list] = [[] for _ in range(n_shards)]
-        shard_counts: list[list] = [[] for _ in range(n_shards)]
-        shard_times: list[list] = [[] for _ in range(n_shards)]
-        starts = [fleet.shard_range(s)[0] for s in range(n_shards)]
-        ends = [fleet.shard_range(s)[1] for s in range(n_shards)]
-        route = fleet.route
-        bisect = bisect_right
-        routed = 0
-        for t, lbn, count, op in zip(
-            ordered.issue_ms, ordered.lbns, ordered.counts, ordered.ops
-        ):
-            # Inlined single-shard routing; boundary-crossing requests
-            # take the general (splitting, counted) path.
-            shard = bisect(starts, lbn) - 1
-            if 0 <= shard < n_shards and lbn + count <= ends[shard] and lbn >= 0:
-                shard_ops[shard].append(op)
-                shard_lbns[shard].append(lbn - starts[shard])
-                shard_counts[shard].append(count)
-                shard_times[shard].append(t)
-                routed += 1
-                continue
-            for piece in route(lbn, count):
-                shard_ops[piece.shard].append(op)
-                shard_lbns[piece.shard].append(piece.lbn)
-                shard_counts[piece.shard].append(piece.count)
-                shard_times[piece.shard].append(t)
-        fleet.routed_requests += routed
-        return shard_ops, shard_lbns, shard_counts, shard_times
-
-    def _route_closed(self, trace: Trace) -> list[list[tuple[str, int, int]]]:
-        """Route a trace into per-shard ``(op, local_lbn, count)`` queues
-        for closed replay (timestamps are ignored; trace order is kept)."""
-        fleet = self.fleet
-        queues: list[list[tuple[str, int, int]]] = [[] for _ in range(len(fleet))]
-        route = fleet.route
-        for lbn, count, op in zip(trace.lbns, trace.counts, trace.ops):
-            for shard, local_lbn, piece_count in route(lbn, count):
-                queues[shard].append((op, local_lbn, piece_count))
-        return queues
-
-    # ------------------------------------------------------------------ #
-    # Scheduled replay (non-FCFS policies, and closed depth > 1)
-    # ------------------------------------------------------------------ #
-    def _replay_open_scheduled(self, trace: Trace, reset: bool = True) -> ReplayStats:
-        """Open replay through each drive's pending queue.
-
-        Requests are *admitted* at their trace timestamps but *dispatched*
-        by the scheduler: whenever a drive's mechanism is ready for its
-        next access, every request that has arrived by that instant is a
-        candidate and the policy picks one.  Under FCFS this dispatch order
-        degenerates to arrival order (which is why FCFS replays keep the
-        batched/kernel fast paths instead of this loop).
-
-        The event-batched scheduled kernel serves the replay whenever it
-        is applicable (bitwise identical); this scalar loop is the exact
-        reference it falls back to.
-        """
-        stats = self._try_kernel_sched(
-            trace, "open", 0.0, reset, record_forced=True
-        )
-        if stats is not None:
-            return stats
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-        shard_ops, shard_lbns, shard_counts, shard_times = self._route_open(ordered)
-
-        results: list[BatchResult] = []
-        forced = 0
-        for shard, drive in enumerate(fleet.drives):
-            sched = self.scheduler.clone()
-            drive.attach_scheduler(sched)
-            try:
-                result = BatchResult()
-                ops = shard_ops[shard]
-                lbns = shard_lbns[shard]
-                counts = shard_counts[shard]
-                times = shard_times[shard]
-                n = len(ops)
-                i = 0
-                enqueue = drive.enqueue
-                while i < n or len(sched):
-                    if len(sched) == 0:
-                        # Idle drive: the next dispatch decision happens
-                        # when the next request arrives.
-                        now = times[i]
-                        if drive.actuator_free > now:
-                            now = drive.actuator_free
-                    else:
-                        # Busy drive: decide when the mechanism frees up.
-                        now = drive.actuator_free
-                    while i < n and times[i] <= now:
-                        enqueue(DiskRequest(ops[i], lbns[i], counts[i]), times[i])
-                        i += 1
-                    done = drive.dispatch_next(now)
-                    result.append_completed(done)
-                forced += sched.forced_dispatches
-                results.append(result)
-            finally:
-                drive.attach_scheduler(None)
-        stats = self._aggregate(
-            ordered, results, "open", before, split_before, fault_before
-        )
-        stats.extras["forced_dispatches"] = float(forced)
-        return stats
-
-    def _replay_closed_scheduled(
-        self, trace: Trace, think_ms: float, reset: bool
-    ) -> ReplayStats:
-        """Closed replay with a scheduled pending queue per drive.
-
-        Each drive keeps up to ``queue_depth`` requests outstanding: the
-        first ``queue_depth`` trace requests are admitted at time zero and
-        every completion admits the next one (plus ``think_ms``).  The
-        scheduler picks among the queued requests at every dispatch.
-        Depth 1 under FCFS reproduces the classic onereq loop exactly.
-
-        The event-batched scheduled kernel serves the replay whenever it
-        is applicable (bitwise identical); this scalar loop is the exact
-        reference it falls back to.
-        """
-        stats = self._try_kernel_sched(
-            trace, "closed", think_ms, reset, record_forced=True
-        )
-        if stats is not None:
-            return stats
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        queues = self._route_closed(trace)
-
-        depth = self.queue_depth
-        results: list[BatchResult] = []
-        forced = 0
-        for shard, drive in enumerate(fleet.drives):
-            sched = self.scheduler.clone()
-            drive.attach_scheduler(sched)
-            try:
-                result = BatchResult()
-                queue = queues[shard]
-                n = len(queue)
-                i = 0
-                now = 0.0
-                enqueue = drive.enqueue
-                while i < n and len(sched) < depth:
-                    op, lbn, count = queue[i]
-                    enqueue(DiskRequest(op, lbn, count), now)
-                    i += 1
-                while len(sched):
-                    decision = drive.actuator_free
-                    if now > decision:
-                        decision = now
-                    done = drive.dispatch_next(decision)
-                    result.append_completed(done)
-                    now = done.completion + think_ms
-                    if i < n:
-                        op, lbn, count = queue[i]
-                        enqueue(DiskRequest(op, lbn, count), now)
-                        i += 1
-                forced += sched.forced_dispatches
-                results.append(result)
-            finally:
-                drive.attach_scheduler(None)
-        stats = self._aggregate(
-            trace, results, "closed", before, split_before, fault_before
-        )
-        stats.extras["forced_dispatches"] = float(forced)
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Closed replay
-    # ------------------------------------------------------------------ #
     def replay_closed(
         self, trace: Trace, think_ms: float = 0.0, reset: bool = True
     ) -> ReplayStats:
-        """Closed replay: one request outstanding per drive (onereq).
+        """Closed replay: up to ``queue_depth`` requests outstanding per drive.
 
-        Trace timestamps are ignored; each shard's requests are serviced in
-        trace order, each issued when the previous one on that shard
-        completes (plus ``think_ms``).  An event heap keyed on per-shard
-        next-issue times drives the fleet-wide interleaving, so the merged
-        completion sequence is produced in global time order.
-
-        A non-FCFS scheduler or ``queue_depth > 1`` routes to the
-        scheduled queue loop (:meth:`_replay_closed_scheduled`).  The
-        classic onereq case itself is served by the event-batched
-        scheduled kernel whenever applicable -- FCFS at depth 1 is a
-        degenerate schedule, and the kernel reproduces this event-heap
-        loop bitwise (including its empty ``extras``).
+        Trace timestamps are ignored; each shard's requests are admitted in
+        trace order, each one when an earlier one on that shard completes
+        (plus ``think_ms``).  Depth 1 under FCFS is the classic onereq
+        discipline (Section 5.2 of the paper).  The replay is
+        :meth:`replay_closed_stream` of a one-chunk stream.
         """
-        if self.scheduler_name != "fcfs" or self.queue_depth > 1:
-            return self._replay_closed_scheduled(trace, think_ms, reset)
-        stats = self._try_kernel_sched(
-            trace, "closed", think_ms, reset, record_forced=False
-        )
-        if stats is not None:
-            return stats
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        n_shards = len(fleet)
-        queues = self._route_closed(trace)
+        from .stream import TraceStream, replay_closed_stream
 
-        results = [BatchResult() for _ in range(n_shards)]
-        cursors = [0] * n_shards
-        heap: list[tuple[float, int]] = [
-            (0.0, shard) for shard in range(n_shards) if queues[shard]
-        ]
-        heapq.heapify(heap)
-        drives = fleet.drives
-        while heap:
-            now, shard = heapq.heappop(heap)
-            op, lbn, count = queues[shard][cursors[shard]]
-            cursors[shard] += 1
-            done = drives[shard].submit(DiskRequest(op, lbn, count), now)
-            results[shard].append_completed(done)
-            if cursors[shard] < len(queues[shard]):
-                heapq.heappush(heap, (done.completion + think_ms, shard))
-        return self._aggregate(
-            trace, results, "closed", before, split_before, fault_before
-        )
+        stream = TraceStream([trace], require_ordered=False, validate=False)
+        return replay_closed_stream(self, stream, think_ms, reset)
 
     # ------------------------------------------------------------------ #
     # Streaming replay
@@ -555,10 +236,11 @@ class TraceReplayEngine:
         :class:`Trace` (streamed via :meth:`Trace.iter_chunks`), or any
         iterable of trace chunks with globally non-decreasing timestamps.
         Chunks are consumed one at a time with warm-state continuation;
-        the returned statistics are **bitwise identical** to
-        :meth:`replay` of the concatenated trace.  ``last_replay_path``
-        may additionally report ``"mixed"`` when some chunks ran on the
-        kernel and others fell back to the scalar path.
+        the returned statistics are **bitwise identical** for every
+        chunking of the same trace, :meth:`replay` being the one-chunk
+        case.  ``last_replay_path`` may additionally report ``"mixed"``
+        when some chunks ran on the kernel and others fell back to the
+        scalar path.
         """
         from .stream import replay_stream
 
@@ -570,123 +252,15 @@ class TraceReplayEngine:
         """Closed replay of a chunked trace stream with bounded memory.
 
         Bitwise identical to :meth:`replay_closed` of the concatenated
-        trace.  Non-FCFS policies and ``queue_depth > 1`` stream through
-        the exact scalar queue loops (``last_fast_reason`` reports
-        ``"scheduler not chunk-vectorizable"``); FCFS depth-1 chunks use
-        the event-batched scheduled kernel with a carried per-shard clock.
+        trace (itself the one-chunk case).  FCFS depth-1 chunks use the
+        event-batched scheduled kernel with a carried per-shard clock.
+        Non-FCFS policies and ``queue_depth > 1`` use that kernel only for
+        a one-chunk stream; longer streams run the exact scalar queue loops
+        (``last_fast_reason`` reports ``"scheduler not chunk-vectorizable"``).
         """
         from .stream import replay_closed_stream
 
         return replay_closed_stream(self, chunks, think_ms=think_ms, reset=reset)
-
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
-    def _aggregate(
-        self,
-        trace: Trace,
-        results: list[BatchResult],
-        mode: str,
-        before: "DriveStats",
-        split_before: int,
-        fault_before: "dict[str, float] | None" = None,
-    ) -> ReplayStats:
-        fleet = self.fleet
-        issued = sum(len(r) for r in results)
-        if issued == 0:
-            raise RequestError("cannot replay an empty trace")
-
-        responses: list[float] = []
-        breakdown = {
-            "seek_ms": 0.0,
-            "settle_ms": 0.0,
-            "rotational_latency_ms": 0.0,
-            "head_switch_ms": 0.0,
-            "media_transfer_ms": 0.0,
-            "bus_ms": 0.0,
-            "bus_overlap_ms": 0.0,
-            "busy_ms": 0.0,
-        }
-        start_ms = float("inf")
-        end_ms = float("-inf")
-        cache_hits = streamed = 0
-        per_drive: list[dict[str, float]] = []
-        all_issues: list[float] = []
-        all_completions: list[float] = []
-        for shard, result in enumerate(results):
-            responses.extend(result.response_times())
-            breakdown["seek_ms"] += sum(result.seek_ms)
-            breakdown["settle_ms"] += sum(result.settle_ms)
-            breakdown["rotational_latency_ms"] += sum(result.latency_ms)
-            breakdown["head_switch_ms"] += sum(result.head_switch_ms)
-            breakdown["media_transfer_ms"] += sum(result.transfer_ms)
-            breakdown["bus_ms"] += sum(result.bus_ms)
-            breakdown["bus_overlap_ms"] += sum(result.overlap_ms)
-            busy = sum(result.media_busy_ms())
-            breakdown["busy_ms"] += busy
-            if result.issue_times:
-                start_ms = min(start_ms, min(result.issue_times))
-                end_ms = max(end_ms, max(result.completions))
-            cache_hits += sum(result.cache_hits)
-            streamed += sum(result.streamed)
-            per_drive.append({"requests": float(len(result)), "busy_ms": busy})
-            all_issues.extend(result.issue_times)
-            all_completions.extend(result.completions)
-
-        combined = fleet.combined_stats()
-        span = max(0.0, end_ms - start_ms)
-        for shard, entry in enumerate(per_drive):
-            entry["utilization"] = (
-                entry["busy_ms"] / span if span > 0.0 else 0.0
-            )
-
-        # Sweep the merged issue/completion event stream for the peak
-        # number of in-flight requests across the fleet.  Completions tie-
-        # break before issues at the same instant (back-to-back requests do
-        # not count as concurrent).
-        all_issues.sort()
-        all_completions.sort()
-        outstanding = peak = 0
-        j = 0
-        n_completions = len(all_completions)
-        for issue in all_issues:
-            while j < n_completions and all_completions[j] <= issue:
-                outstanding -= 1
-                j += 1
-            outstanding += 1
-            if outstanding > peak:
-                peak = outstanding
-
-        # Drive counters are cumulative; report this run's delta so a
-        # warm-state replay (reset=False) still describes only its trace.
-        stats = ReplayStats(
-            trace_requests=len(trace),
-            issued_requests=issued,
-            split_requests=fleet.split_requests - split_before,
-            reads=combined.reads - before.reads,
-            writes=combined.writes - before.writes,
-            cache_hits=cache_hits,
-            streamed=streamed,
-            sectors=(combined.sectors_read + combined.sectors_written)
-            - (before.sectors_read + before.sectors_written),
-            start_ms=start_ms,
-            end_ms=end_ms,
-            response=summarize(responses),
-            breakdown=breakdown,
-            per_drive=per_drive,
-            peak_outstanding=peak,
-            mode=mode,
-        )
-        # Fault counters ride in ``extras`` only when a fault schedule is
-        # attached, so fault-free replays stay byte-identical to pre-fault
-        # output.  Like the drive counters above, report this run's delta.
-        fault_after = fleet_fault_extras(fleet)
-        if fault_after:
-            base = fault_before or {}
-            stats.extras.update(
-                {k: v - base.get(k, 0.0) for k, v in fault_after.items()}
-            )
-        return stats
 
 
 __all__ = ["ReplayStats", "TraceReplayEngine"]

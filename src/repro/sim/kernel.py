@@ -1,10 +1,12 @@
-"""Columnar fast-path replay kernel: whole-trace service with numpy.
+"""Columnar fast-path replay kernels: per-shard service with numpy.
 
-The batched engine of PR 1 already amortizes Python call overhead, but its
-hot loop still performs per-request geometry bisects, memo-dict probes,
-firmware-cache probes and thirteen column appends.  This module services a
-whole :class:`~repro.sim.trace.Trace` with the per-request work split into
-two phases:
+The scalar batched path (:meth:`repro.disksim.drive.DiskDrive.submit_batch`)
+amortizes Python call overhead, but its hot loop still performs
+per-request geometry bisects, memo-dict probes, firmware-cache probes and
+thirteen column appends.  The kernels in this module service one
+shard-local request stream -- a chunk of a trace, as handed over by the
+replay drivers in :mod:`repro.sim.stream` -- with the per-request work
+split into two phases:
 
 * **vectorized precompute** -- everything that is a pure function of the
   request stream and the immutable drive configuration is computed with
@@ -21,43 +23,51 @@ two phases:
   operation so the produced :class:`~repro.sim.engine.ReplayStats` is
   bitwise identical to the scalar path.
 
-The kernel refuses (returns a reason, and the engine falls back to the
-exact scalar path) whenever its model could diverge from the scalar one:
+:func:`_service_shard` serves open FCFS streams.
+:func:`_service_shard_sched` serves **scheduled** streams (non-FCFS
+policies, closed queues of any depth): admission and the dispatch-time
+policy decision stay in the serial loop, but candidate scoring over the
+pending queue is delegated to the scheduler's vectorized ``kernel_select``
+hook over precomputed columns
+(:class:`~repro.disksim.sched.KernelQueueView`), and each dispatched
+request is serviced by the same inlined single-track arithmetic.  Both
+take running accumulators, so a chunked replay continues the fold of
+earlier chunks bitwise-exactly.
+
+The helpers here return a refusal reason (and the stream driver falls
+back to the exact scalar path) whenever the kernel's model could diverge
+from the scalar one:
 
 * numpy is not importable,
+* a fault schedule is attached to any drive,
 * any drive's geometry has slipped/remapped defects,
 * any drive uses an out-of-order bus,
-* the replay starts from warm drive/cache state (``reset=False``),
-* any request crosses a shard boundary (fleet splitting), or
-* the trace exhibits *firmware-cache-sensitive reuse*: some read's start
+* any request crosses a shard boundary (fleet splitting),
+* the chunk exhibits *firmware-cache-sensitive reuse*: some read's start
   LBN falls inside another read's cached-plus-readahead window, so the
   scalar path could serve cache hits or prefetch streams the kernel does
   not model.  The check is static and conservative (it ignores request
   ordering, LRU eviction and write invalidation, all of which only make
-  real hits less likely).
+  real hits less likely), or
+* some read could hit what is *already* in a warm firmware cache (left by
+  an earlier chunk, or by an earlier replay under ``reset=False``) --
+  the dynamic :func:`warm_cache_clean` gate.
+
+A scheduler subclass that overrides the scalar policy hooks without
+matching kernel hooks is refused by
+:func:`repro.disksim.sched.kernel_fallback_reason`
+(``"scheduler not kernel-vectorizable"``).
 
 Requests that span multiple tracks are serviced through the drive's exact
 scalar code with state synced both ways (exactly like ``submit_batch``
 does), so unaligned traces still replay through the kernel.
 
-:func:`replay_kernel_sched` extends the same discipline to **scheduled**
-replays (non-FCFS policies, closed queue depths > 1): admission and the
-dispatch-time policy decision stay in the serial loop, but candidate
-scoring over the pending queue is delegated to the scheduler's vectorized
-``kernel_select`` hook over precomputed columns
-(:class:`~repro.disksim.sched.KernelQueueView`), and each dispatched
-request is serviced by the same inlined single-track arithmetic.  One
-extra refusal applies: a scheduler subclass that overrides the scalar
-policy hooks without matching kernel hooks returns
-``"scheduler not kernel-vectorizable"``.
-
 On caching-enabled drives the kernel performs the same
 ``record_read``/``record_write`` cache bookkeeping as the scalar path
-(recording cannot change this replay's results -- the reuse gate
-guarantees no probe would hit), so the drive ends a kernel replay in
-exactly the state a scalar replay would leave, and warm-state
-continuations (``reset=False``) stay consistent whichever path serves
-them.
+(recording cannot change this replay's results -- the reuse gates
+guarantee no probe would hit), so the drive ends a kernel chunk in
+exactly the state a scalar chunk would leave, and warm-state
+continuations stay consistent whichever path serves them.
 """
 
 from __future__ import annotations
@@ -72,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..disksim.drive import DiskDrive
     from ..disksim.geometry import DiskGeometry
     from ..disksim.seek import SeekCurve
-    from .engine import ReplayStats
     from .shard import LbnRangeShard
     from .trace import Trace
 
@@ -220,11 +229,12 @@ def warm_cache_clean(np, cache, lbns, is_read) -> bool:
     return not bool(hot.any())
 
 
-def fleet_eligibility(fleet: "LbnRangeShard", reset: bool) -> "str | None":
+def fleet_eligibility(fleet: "LbnRangeShard") -> "str | None":
     """Drive-level kernel refusal reason for ``fleet``, or None if eligible.
 
-    Shared by :func:`replay_kernel`, :func:`replay_kernel_sched` and the
-    chunked streaming path (:mod:`repro.sim.stream`).
+    Checked once per replay by the stream drivers
+    (:mod:`repro.sim.stream`); warm cache state is judged per chunk by
+    :func:`warm_cache_clean` instead.
     """
     for drive in fleet.drives:
         if getattr(drive, "faults", None) is not None:
@@ -235,10 +245,6 @@ def fleet_eligibility(fleet: "LbnRangeShard", reset: bool) -> "str | None":
             return "defective geometry"
         if not drive.bus.in_order:
             return "out-of-order bus"
-    if not reset:
-        for drive in fleet.drives:
-            if drive.cache.enable_caching and not drive.cache.is_pristine:
-                return "warm firmware cache (reset=False)"
     return None
 
 
@@ -343,7 +349,7 @@ def _service_shard(
     ``latency_start``/``overlap_start``/``busy_start`` seed the in-loop sum
     accumulators so a chunked replay (:mod:`repro.sim.stream`) can continue
     the left fold of an earlier chunk: the returned ``*_sum`` values are then
-    cumulative over the whole stream and bitwise equal to a one-shot fold.
+    cumulative over the whole stream and bitwise equal to an unchunked fold.
     """
     out = _ShardOutcome()
     n = int(lbns.shape[0])
@@ -685,9 +691,10 @@ def _service_shard_sched(
 ) -> "tuple[_ShardOutcome, int, float]":
     """Event-batched scheduled replay of one shard-local stream.
 
-    The scalar queue loops in :class:`~repro.sim.engine.TraceReplayEngine`
-    interleave admission (requests entering the pending queue) with
-    dispatch (the policy picking one and the drive servicing it).  Here
+    The scalar queue loops of the scheduled stream drivers
+    (:mod:`repro.sim.stream`) interleave admission (requests entering the
+    pending queue) with dispatch (the policy picking one and the drive
+    servicing it).  Here
     every per-request quantity that does not depend on dispatch order is
     precomputed as a numpy column; the loop below keeps only the
     irreducible serial recurrence -- actuator/bus availability, head
@@ -1188,235 +1195,10 @@ def _service_shard_sched(
     return out, forced, now
 
 
-# --------------------------------------------------------------------------- #
-# Whole-trace replay
-# --------------------------------------------------------------------------- #
-
-def replay_kernel(
-    fleet: "LbnRangeShard", trace: "Trace", reset: bool = True
-) -> "tuple[ReplayStats | None, str | None]":
-    """Attempt a columnar replay of ``trace`` against ``fleet``.
-
-    Returns ``(stats, None)`` on success or ``(None, reason)`` when the
-    kernel is not applicable; the caller (the engine) falls back to the
-    scalar path.  Eligibility is decided before any fleet state is touched.
-    """
-    np = _numpy()
-    if np is None:
-        return None, "numpy unavailable"
-    if len(trace) == 0:
-        return None, "empty trace"
-    reason = fleet_eligibility(fleet, reset)
-    if reason is not None:
-        return None, reason
-
-    ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-    columns, reason = trace_columns(np, fleet, ordered)
-    if reason is not None:
-        return None, reason
-    lbns, counts, issue, is_read = columns
-    n = int(lbns.shape[0])
-
-    shard_cols, reason = shard_split(np, fleet, lbns, counts, issue, is_read)
-    if reason is not None:
-        return None, reason
-
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        if _cache_sensitive(np, drive.cache, s_lbns, s_counts, s_read):
-            return None, "firmware-cache-sensitive reuse"
-
-    # ---- committed: mirror the scalar replay()'s bookkeeping ----------- #
-    if reset:
-        fleet.reset()
-    before = fleet.combined_stats()
-    split_before = fleet.split_requests
-    fleet.routed_requests += n
-
-    outcomes: list[_ShardOutcome] = []
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        outcomes.append(_service_shard(np, drive, s_lbns, s_counts, s_issue, s_read))
-
-    return _aggregate_kernel(np, fleet, trace, outcomes, before, split_before), None
-
-
-def replay_kernel_sched(
-    fleet: "LbnRangeShard",
-    trace: "Trace",
-    scheduler,
-    mode: str = "open",
-    queue_depth: int = 1,
-    think_ms: float = 0.0,
-    reset: bool = True,
-    record_forced: bool = True,
-) -> "tuple[ReplayStats | None, str | None]":
-    """Attempt an event-batched scheduled replay of ``trace``.
-
-    The columnar counterpart of the engine's scalar queue loops
-    (``_replay_open_scheduled`` / ``_replay_closed_scheduled``): requests
-    are admitted to a pending queue (at trace timestamps in ``mode="open"``,
-    keeping up to ``queue_depth`` outstanding in ``mode="closed"``) and the
-    ``scheduler``'s vectorized ``kernel_select`` hook picks each dispatch
-    from precomputed geometry/score columns.  Returns ``(stats, None)`` on
-    success or ``(None, reason)`` when the kernel is not applicable, with
-    the same refusal vocabulary as :func:`replay_kernel` plus
-    ``"scheduler not kernel-vectorizable"`` for policies that override the
-    scalar hooks without matching kernel hooks.
-
-    ``record_forced`` controls whether ``extras["forced_dispatches"]`` is
-    recorded on the result; the classic closed FCFS depth-1 path leaves
-    extras empty, so its caller passes ``False`` to stay byte-identical.
-    """
-    np = _numpy()
-    if np is None:
-        return None, "numpy unavailable"
-    if len(trace) == 0:
-        return None, "empty trace"
-    from ..disksim.sched import kernel_fallback_reason
-
-    sched_reason = kernel_fallback_reason(scheduler)
-    if sched_reason is not None:
-        return None, sched_reason
-    reason = fleet_eligibility(fleet, reset)
-    if reason is not None:
-        return None, reason
-
-    if mode == "open":
-        ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-    else:
-        # Closed replay ignores timestamps and admits in raw trace order.
-        ordered = trace
-    columns, reason = trace_columns(np, fleet, ordered)
-    if reason is not None:
-        return None, reason
-    lbns, counts, issue, is_read = columns
-    n = int(lbns.shape[0])
-
-    shard_cols, reason = shard_split(np, fleet, lbns, counts, issue, is_read)
-    if reason is not None:
-        return None, reason
-
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        if _cache_sensitive(np, drive.cache, s_lbns, s_counts, s_read):
-            return None, "firmware-cache-sensitive reuse"
-
-    # ---- committed: mirror the scalar queue loops' bookkeeping --------- #
-    if reset:
-        fleet.reset()
-    before = fleet.combined_stats()
-    split_before = fleet.split_requests
-    fleet.routed_requests += n
-
-    outcomes: list[_ShardOutcome] = []
-    forced = 0
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        shard_sched = scheduler.clone()
-        shard_sched.kernel_reset()
-        outcome, shard_forced, _ = _service_shard_sched(
-            np, drive, shard_sched, s_lbns, s_counts, s_issue, s_read,
-            mode, queue_depth, think_ms,
-        )
-        outcomes.append(outcome)
-        forced += shard_forced
-
-    stats = _aggregate_kernel(
-        np, fleet, trace, outcomes, before, split_before, mode=mode
-    )
-    if record_forced:
-        stats.extras["forced_dispatches"] = float(forced)
-    return stats, None
-
-
-def _aggregate_kernel(
-    np, fleet, trace, outcomes, before, split_before, mode: str = "open"
-) -> "ReplayStats":
-    """Mirror of :meth:`TraceReplayEngine._aggregate` over shard outcomes.
-
-    Summation order matches the scalar aggregate exactly (per-shard Python
-    ``sum`` over per-request columns, shards accumulated in order), so every
-    statistic is bitwise identical to the scalar path's.
-    """
-    from ..analysis.stats import summarize
-    from ..disksim.errors import RequestError
-    from .engine import ReplayStats
-
-    issued = sum(out.n for out in outcomes)
-    if issued == 0:
-        raise RequestError("cannot replay an empty trace")
-
-    responses: list[float] = []
-    breakdown = {
-        "seek_ms": 0.0,
-        "settle_ms": 0.0,
-        "rotational_latency_ms": 0.0,
-        "head_switch_ms": 0.0,
-        "media_transfer_ms": 0.0,
-        "bus_ms": 0.0,
-        "bus_overlap_ms": 0.0,
-        "busy_ms": 0.0,
-    }
-    start_ms = float("inf")
-    end_ms = float("-inf")
-    per_drive: list[dict[str, float]] = []
-    issue_arrays = []
-    completion_arrays = []
-    for out in outcomes:
-        if out.n:
-            issue_arr = np.asarray(out.issue, dtype=np.float64)
-            comp_arr = np.asarray(out.completions, dtype=np.float64)
-            responses.extend((comp_arr - issue_arr).tolist())
-            issue_arrays.append(issue_arr)
-            completion_arrays.append(comp_arr)
-            start_ms = min(start_ms, float(issue_arr.min()))
-            end_ms = max(end_ms, float(comp_arr.max()))
-        breakdown["seek_ms"] += sum(out.seek)
-        breakdown["settle_ms"] += sum(out.settle)
-        breakdown["rotational_latency_ms"] += out.latency_sum
-        breakdown["head_switch_ms"] += sum(out.head_switch)
-        breakdown["media_transfer_ms"] += sum(out.transfer)
-        breakdown["bus_ms"] += sum(out.bus)
-        breakdown["bus_overlap_ms"] += out.overlap_sum
-        breakdown["busy_ms"] += out.busy_sum
-        per_drive.append({"requests": float(out.n), "busy_ms": out.busy_sum})
-
-    combined = fleet.combined_stats()
-    span = max(0.0, end_ms - start_ms)
-    for entry in per_drive:
-        entry["utilization"] = entry["busy_ms"] / span if span > 0.0 else 0.0
-
-    # Peak outstanding: identical to the scalar event sweep -- for the k-th
-    # issue (sorted), outstanding = (k+1) - |completions <= issue_k|.
-    all_issues = np.sort(np.concatenate(issue_arrays))
-    all_completions = np.sort(np.concatenate(completion_arrays))
-    done_before = np.searchsorted(all_completions, all_issues, side="right")
-    outstanding = np.arange(1, all_issues.shape[0] + 1) - done_before
-    peak = int(outstanding.max())
-
-    return ReplayStats(
-        trace_requests=len(trace),
-        issued_requests=issued,
-        split_requests=fleet.split_requests - split_before,
-        reads=combined.reads - before.reads,
-        writes=combined.writes - before.writes,
-        cache_hits=combined.cache_hits - before.cache_hits,
-        streamed=combined.streamed - before.streamed,
-        sectors=(combined.sectors_read + combined.sectors_written)
-        - (before.sectors_read + before.sectors_written),
-        start_ms=start_ms,
-        end_ms=end_ms,
-        response=summarize(responses),
-        breakdown=breakdown,
-        per_drive=per_drive,
-        peak_outstanding=peak,
-        mode=mode,
-    )
-
-
 __all__ = [
     "clear_kernel_tables",
     "fleet_eligibility",
     "geometry_tables",
-    "replay_kernel",
-    "replay_kernel_sched",
     "seek_table",
     "seek_table_list",
     "shard_split",

@@ -1,4 +1,4 @@
-"""Chunked/streaming trace replay: bounded-memory input for the engine.
+"""Trace replay drivers: every replay, one-shot or chunked, runs here.
 
 A :class:`TraceStream` is a lazy sequence of bounded columnar
 :class:`~repro.sim.trace.Trace` chunks sharing one global timeline.  The
@@ -6,9 +6,13 @@ drivers in this module consume a stream chunk by chunk with **warm-state
 continuation** -- actuator/bus availability, head position, firmware-cache
 contents, per-shard clocks and every statistics fold carry across chunk
 boundaries -- so the returned :class:`~repro.sim.engine.ReplayStats` is
-**bitwise identical** to a one-shot replay of the concatenated trace, while
-memory stays proportional to the chunk size (plus two 8-byte floats per
-request for the response/outstanding statistics).
+**bitwise identical** for every chunking of the same trace, while memory
+stays proportional to the chunk size (plus two 8-byte floats per request
+for the response/outstanding statistics).  A one-shot
+:meth:`~repro.sim.engine.TraceReplayEngine.replay` or
+:meth:`~repro.sim.engine.TraceReplayEngine.replay_closed` is the stream
+of one chunk, and :class:`_StreamAggregator` is the one place a
+``ReplayStats`` is built.
 
 Path selection per replay discipline:
 
@@ -23,14 +27,14 @@ Path selection per replay discipline:
 * **closed FCFS, depth 1** (classic onereq) -- chunks go through the
   event-batched scheduled kernel (:func:`_service_shard_sched`) with a
   carried per-shard clock, or through an exact sequential scalar loop.
-* **open non-FCFS** -- exact scalar persistent-queue streaming: each
-  drive's scheduler queue survives across chunks, and dispatch decisions
-  at or beyond the next chunk's first timestamp are deferred until that
-  chunk arrives (requests that would have been admitted first in a
-  one-shot replay are then admitted first here too).
-* **closed non-FCFS or depth > 1** -- exact scalar persistent-queue
-  streaming; admissions owed at a chunk boundary are performed before the
-  next dispatch, so the queue always holds exactly what the one-shot loop
+* **scheduled** (open non-FCFS; closed non-FCFS or depth > 1) -- a stream
+  of exactly one chunk is served whole by the scheduled kernel when it is
+  eligible.  Otherwise the exact scalar queue loops run with persistent
+  per-drive schedulers.  Open: dispatch decisions at or beyond the next
+  chunk's first timestamp are deferred until that chunk arrives, so every
+  request is admitted when it would be in an unchunked replay.  Closed:
+  admissions owed at a chunk boundary are performed before the next
+  dispatch, so the queue always holds exactly what an unchunked replay
   would hold.
 
 The open-loop **service scenario** (:func:`run_service`) replays an
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -174,7 +179,7 @@ class TraceStream:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming aggregation (bitwise mirror of the one-shot aggregates)
+# Aggregation: the one builder of ReplayStats
 # --------------------------------------------------------------------------- #
 
 class _ShardAgg:
@@ -182,8 +187,9 @@ class _ShardAgg:
 
     Only ``issues``/``completions`` grow with the stream (8 bytes per
     request each); every per-request timing column is folded into its
-    running sum as chunks complete, continuing the exact left fold the
-    one-shot aggregates compute (``sum(column)`` per shard)."""
+    running sum as chunks complete, continuing the exact left fold of the
+    shard's whole column (``sum(column)``), so the chunking never changes
+    a sum."""
 
     __slots__ = (
         "issues", "completions", "requests", "seek", "settle", "latency",
@@ -207,16 +213,17 @@ class _ShardAgg:
 class _StreamAggregator:
     """Accumulates chunk results into one bitwise-exact ``ReplayStats``.
 
-    Mirrors ``TraceReplayEngine._aggregate`` / ``_aggregate_kernel``: every
-    float statistic is a left fold in the exact order the one-shot
-    aggregates fold it (per-request within a shard, shards in order), so the
-    finalized stats are bitwise identical to a one-shot replay."""
+    Every float statistic is a left fold in one fixed order (per-request
+    within a shard, shards in order), whichever path served each chunk
+    and however the trace was chunked, so the finalized stats are bitwise
+    identical across paths and chunkings."""
 
     def __init__(self, fleet: "LbnRangeShard", mode: str) -> None:
         self.fleet = fleet
         self.mode = mode
         self.shards = [_ShardAgg() for _ in fleet.drives]
-        # Counter deltas: snapshot after reset, like the one-shot paths.
+        # Counter deltas: snapshot after reset, so a warm-state replay
+        # (reset=False) still describes only its own trace.
         self.before = fleet.combined_stats()
         self.split_before = fleet.split_requests
         self.fault_before = fleet_fault_extras(fleet)
@@ -461,8 +468,6 @@ class _StreamAggregator:
                 comps, t, side="right"
             )
             return [int(d) for d in depth]
-        from bisect import bisect_right
-
         issues = sorted(agg.issues)
         comps = sorted(agg.completions)
         return [
@@ -490,21 +495,91 @@ def _as_stream(chunks, require_ordered: bool) -> TraceStream:
     return TraceStream(chunks, require_ordered=require_ordered)
 
 
-def _kernel_gate(engine: "TraceReplayEngine"):
+def _route_open(
+    fleet: "LbnRangeShard", ordered: "Trace"
+) -> tuple[list, list, list, list]:
+    """Route a time-ordered trace into per-shard request columns.
+
+    Returns ``(ops, lbns, counts, issue_times)``, each a list with one
+    per-shard column.  Single-drive fleets reuse the trace columns
+    directly; multi-drive fleets take the inlined single-shard routing
+    with the general splitting path for boundary-crossing requests.
+    """
+    n_shards = len(fleet)
+    if n_shards == 1:
+        # Single-drive replay: the trace columns feed the service loop
+        # directly, no per-request routing work at all.
+        fleet.routed_requests += len(ordered)
+        return (
+            [ordered.ops],
+            [ordered.lbns],
+            [ordered.counts],
+            [ordered.issue_ms],
+        )
+    shard_ops: list[list] = [[] for _ in range(n_shards)]
+    shard_lbns: list[list] = [[] for _ in range(n_shards)]
+    shard_counts: list[list] = [[] for _ in range(n_shards)]
+    shard_times: list[list] = [[] for _ in range(n_shards)]
+    starts = [fleet.shard_range(s)[0] for s in range(n_shards)]
+    ends = [fleet.shard_range(s)[1] for s in range(n_shards)]
+    route = fleet.route
+    bisect = bisect_right
+    routed = 0
+    for t, lbn, count, op in zip(
+        ordered.issue_ms, ordered.lbns, ordered.counts, ordered.ops
+    ):
+        # Inlined single-shard routing; boundary-crossing requests
+        # take the general (splitting, counted) path.
+        shard = bisect(starts, lbn) - 1
+        if 0 <= shard < n_shards and lbn + count <= ends[shard] and lbn >= 0:
+            shard_ops[shard].append(op)
+            shard_lbns[shard].append(lbn - starts[shard])
+            shard_counts[shard].append(count)
+            shard_times[shard].append(t)
+            routed += 1
+            continue
+        for piece in route(lbn, count):
+            shard_ops[piece.shard].append(op)
+            shard_lbns[piece.shard].append(piece.lbn)
+            shard_counts[piece.shard].append(piece.count)
+            shard_times[piece.shard].append(t)
+    fleet.routed_requests += routed
+    return shard_ops, shard_lbns, shard_counts, shard_times
+
+
+def _route_closed(
+    fleet: "LbnRangeShard", trace: "Trace"
+) -> list[list[tuple[str, int, int]]]:
+    """Route a trace into per-shard ``(op, local_lbn, count)`` queues
+    for closed replay (timestamps are ignored; trace order is kept)."""
+    queues: list[list[tuple[str, int, int]]] = [[] for _ in range(len(fleet))]
+    route = fleet.route
+    for lbn, count, op in zip(trace.lbns, trace.counts, trace.ops):
+        for shard, local_lbn, piece_count in route(lbn, count):
+            queues[shard].append((op, local_lbn, piece_count))
+    return queues
+
+
+def _kernel_gate(engine: "TraceReplayEngine", scheduled: bool):
     """Stream-wide kernel availability: ``(np, reason)``.
 
-    The warm-cache refusal of the one-shot kernels is deliberately *not*
-    checked here -- chunk continuation runs with warm caches by design and
-    guards each chunk with the dynamic ``warm_cache_clean`` gate instead.
+    ``scheduled`` marks drivers that serve chunks through the scheduled
+    kernel, which also needs a kernel-vectorizable scheduler.  Warm drive
+    state is not a refusal: each chunk is guarded by the dynamic
+    ``warm_cache_clean`` gate instead, which is what lets chunk
+    continuation and ``reset=False`` replays keep using the kernel.
     """
+    from ..disksim.sched import kernel_fallback_reason
     from .kernel import fleet_eligibility
 
-    if engine.fast is not None and not engine.fast:
+    if not engine.fast:
         return None, "fast disabled"
     np = _numpy()
     if np is None:
         return None, "numpy unavailable"
-    reason = fleet_eligibility(engine.fleet, True)
+    reason = kernel_fallback_reason(engine.scheduler) if scheduled else None
+    if reason is None:
+        reason = fleet_eligibility(engine.fleet)
     if reason is not None:
         return None, reason
     return np, None
@@ -513,9 +588,10 @@ def _kernel_gate(engine: "TraceReplayEngine"):
 def _chunk_shard_columns(np, fleet: "LbnRangeShard", chunk: "Trace"):
     """Kernel-eligible per-shard columns for one chunk, or a refusal.
 
-    Mirrors the one-shot kernels' per-trace validation, plus the dynamic
-    warm-cache gate that lets later chunks keep using the kernel after
-    earlier chunks warmed the firmware caches."""
+    Validates the chunk's columns, splits them by shard and applies both
+    cache gates: the static reuse check within the chunk and the dynamic
+    warm-cache check against what earlier chunks (or an earlier
+    ``reset=False`` replay) left in the firmware caches."""
     from .kernel import (
         _cache_sensitive,
         shard_split,
@@ -565,7 +641,7 @@ def _stream_open_fcfs(
     fleet = engine.fleet
     if reset:
         fleet.reset()
-    np, first_refusal = _kernel_gate(engine)
+    np, first_refusal = _kernel_gate(engine, scheduled=False)
     agg = _StreamAggregator(fleet, "open")
     kernel_chunks = scalar_chunks = 0
     for chunk in _counted(agg, stream):
@@ -592,8 +668,8 @@ def _stream_open_fcfs(
                 agg.add_kernel(shard, out)
             continue
         scalar_chunks += 1
-        shard_ops, shard_lbns, shard_counts, shard_times = engine._route_open(
-            chunk
+        shard_ops, shard_lbns, shard_counts, shard_times = _route_open(
+            fleet, chunk
         )
         batch = engine.batch_size
         for shard, drive in enumerate(fleet.drives):
@@ -616,6 +692,47 @@ def _stream_open_fcfs(
     )
 
 
+def _serve_sched_chunk(
+    np,
+    engine: "TraceReplayEngine",
+    agg: _StreamAggregator,
+    shard_cols,
+    mode: str,
+    think_ms: float,
+    now: list[float],
+) -> int:
+    """Serve one kernel-eligible chunk through the scheduled kernel.
+
+    Each shard gets a fresh scheduler clone, continues its accumulator
+    fold from ``agg`` and its closed-loop clock from ``now`` (updated in
+    place).  Returns the chunk's forced-dispatch count."""
+    from .kernel import _service_shard_sched
+
+    fleet = engine.fleet
+    forced = 0
+    for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
+        zip(shard_cols, fleet.drives)
+    ):
+        n = int(s_lbns.shape[0])
+        if not n:
+            continue
+        fleet.routed_requests += n
+        sh = agg.shards[shard]
+        sched = engine.scheduler.clone()
+        sched.kernel_reset()
+        out, shard_forced, now[shard] = _service_shard_sched(
+            np, drive, sched, s_lbns, s_counts, s_issue, s_read,
+            mode, engine.queue_depth, think_ms,
+            latency_start=sh.latency,
+            overlap_start=sh.overlap,
+            busy_start=sh.busy,
+            now_start=now[shard],
+        )
+        forced += shard_forced
+        agg.add_kernel(shard, out)
+    return forced
+
+
 def _stream_closed_fcfs(
     engine: "TraceReplayEngine",
     stream: TraceStream,
@@ -624,14 +741,13 @@ def _stream_closed_fcfs(
 ):
     """Closed FCFS depth-1 (onereq) streaming with a carried per-shard
     clock; kernel chunks via the scheduled kernel, scalar chunks via the
-    exact per-shard sequential loop (the event heap of the one-shot path
-    only interleaves shards and cannot change per-shard results)."""
-    from .kernel import _service_shard_sched
-
+    exact per-shard sequential loop (shards are independent, so serving
+    them one after another gives the same per-shard results as any
+    fleet-wide interleaving)."""
     fleet = engine.fleet
     if reset:
         fleet.reset()
-    np, first_refusal = _kernel_gate(engine)
+    np, first_refusal = _kernel_gate(engine, scheduled=True)
     agg = _StreamAggregator(fleet, "closed")
     now = [0.0] * len(fleet.drives)
     kernel_chunks = scalar_chunks = 0
@@ -643,28 +759,10 @@ def _stream_closed_fcfs(
                 first_refusal = reason
         if shard_cols is not None:
             kernel_chunks += 1
-            fleet.routed_requests += len(chunk)
-            for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
-                zip(shard_cols, fleet.drives)
-            ):
-                if not int(s_lbns.shape[0]):
-                    continue
-                sh = agg.shards[shard]
-                sched = engine.scheduler.clone()
-                sched.kernel_reset()
-                out, _forced, shard_now = _service_shard_sched(
-                    np, drive, sched, s_lbns, s_counts, s_issue, s_read,
-                    "closed", 1, think_ms,
-                    latency_start=sh.latency,
-                    overlap_start=sh.overlap,
-                    busy_start=sh.busy,
-                    now_start=now[shard],
-                )
-                now[shard] = shard_now
-                agg.add_kernel(shard, out)
+            _serve_sched_chunk(np, engine, agg, shard_cols, "closed", think_ms, now)
             continue
         scalar_chunks += 1
-        queues = engine._route_closed(chunk)
+        queues = _route_closed(fleet, chunk)
         for shard, drive in enumerate(fleet.drives):
             queue = queues[shard]
             if not queue:
@@ -683,28 +781,74 @@ def _stream_closed_fcfs(
 
 
 #: Refusal reason reported when a scheduled (non-FCFS or deep-queue)
-#: replay streams through the exact scalar queue loops: the scheduled
-#: kernel's pending-queue state cannot be carried across chunk columns.
+#: stream of more than one chunk runs the exact scalar queue loops: the
+#: scheduled kernel's pending-queue state cannot be carried across chunk
+#: columns.
 SCHED_STREAM_REASON = "scheduler not chunk-vectorizable"
+
+
+def _one_chunk_sched(
+    engine: "TraceReplayEngine",
+    agg: _StreamAggregator,
+    current: "Trace | None",
+    nxt: "Trace | None",
+    mode: str,
+    think_ms: float,
+):
+    """Serve a scheduled stream of exactly one chunk (``current``, with no
+    ``nxt``) whole through the scheduled kernel.
+
+    Returns ``(forced_dispatches, None)`` when the kernel ran, or
+    ``(None, reason)`` with the refusal the scalar queue loops report."""
+    if current is None or nxt is not None:
+        return None, "fast disabled" if not engine.fast else SCHED_STREAM_REASON
+    np, reason = _kernel_gate(engine, scheduled=True)
+    if np is None:
+        return None, reason
+    shard_cols, reason = _chunk_shard_columns(np, engine.fleet, current)
+    if shard_cols is None:
+        return None, reason
+    now = [0.0] * len(engine.fleet.drives)
+    return _serve_sched_chunk(np, engine, agg, shard_cols, mode, think_ms, now), None
+
+
+def _finish_sched(engine, agg, reason, forced):
+    """A scheduled stream ran wholly on the kernel (``reason`` is None) or
+    wholly on the scalar queue loops."""
+    kernel = reason is None
+    stats, agg = _finish(
+        engine, agg, int(kernel), int(not kernel), "kernel_sched", reason
+    )
+    stats.extras["forced_dispatches"] = float(forced)
+    return stats, agg
 
 
 def _stream_open_scheduled(
     engine: "TraceReplayEngine", stream: TraceStream, reset: bool
 ):
-    """Open scheduled streaming: exact scalar queue loops with persistent
-    per-drive schedulers and one-chunk lookahead.
+    """Open scheduled streaming.
 
-    The one-shot loop (``_replay_open_scheduled``) admits every request
-    that has arrived by each dispatch decision.  Streaming defers any
-    decision at or beyond the next chunk's first timestamp (``horizon``)
+    A one-chunk stream runs the scheduled kernel when applicable.
+    Otherwise: exact scalar queue loops with persistent per-drive
+    schedulers and one-chunk lookahead.  Requests are *admitted* at their
+    trace timestamps but *dispatched* by the scheduler: whenever a drive's
+    mechanism is ready for its next access, every request that has arrived
+    by that instant is a candidate and the policy picks one.  Any decision
+    at or beyond the next chunk's first timestamp (``horizon``) is deferred
     until that chunk has been buffered: recomputing the decision time after
     appending rows provably yields the same value (the pending queue and
     the buffer head are unchanged), so admission sets -- and therefore
-    dispatch order -- match the one-shot loop exactly."""
+    dispatch order -- do not depend on the chunking."""
     fleet = engine.fleet
     if reset:
         fleet.reset()
     agg = _StreamAggregator(fleet, "open")
+    chunks = _counted(agg, stream)
+    current = next(chunks, None)
+    nxt = next(chunks, None)
+    forced, reason = _one_chunk_sched(engine, agg, current, nxt, "open", 0.0)
+    if forced is not None:
+        return _finish_sched(engine, agg, None, forced)
     n_shards = len(fleet.drives)
     scheds = [engine.scheduler.clone() for _ in range(n_shards)]
     buf_ops: list[list] = [[] for _ in range(n_shards)]
@@ -714,14 +858,11 @@ def _stream_open_scheduled(
     for drive, sched in zip(fleet.drives, scheds):
         drive.attach_scheduler(sched)
     try:
-        chunks = _counted(agg, stream)
-        current = next(chunks, None)
         while current is not None:
-            nxt = next(chunks, None)
             final = nxt is None
             horizon = float("inf") if final else nxt.issue_ms[0]
             shard_ops, shard_lbns, shard_counts, shard_times = (
-                engine._route_open(current)
+                _route_open(fleet, current)
             )
             for s in range(n_shards):
                 buf_ops[s].extend(shard_ops[s])
@@ -740,12 +881,15 @@ def _stream_open_scheduled(
                 enqueue = drive.enqueue
                 while i < n or len(sched):
                     if len(sched) == 0:
+                        # Idle drive: the next dispatch decision happens
+                        # when the next request arrives.
                         if i >= n:
                             break  # wait for later chunks
                         now = times[i]
                         if drive.actuator_free > now:
                             now = drive.actuator_free
                     else:
+                        # Busy drive: decide when the mechanism frees up.
                         now = drive.actuator_free
                     if not final and now >= horizon:
                         # A later chunk may hold a request that arrives by
@@ -759,20 +903,12 @@ def _stream_open_scheduled(
                 if i:
                     del ops[:i], lbns[:i], counts[:i], times[:i]
                 agg.add_scalar(s, result)
-            current = nxt
+            current, nxt = nxt, next(chunks, None)
         forced = sum(sched.forced_dispatches for sched in scheds)
     finally:
         for drive in fleet.drives:
             drive.attach_scheduler(None)
-    engine.last_replay_path = "scalar"
-    engine.last_fast_reason = (
-        "fast disabled"
-        if engine.fast is not None and not engine.fast
-        else SCHED_STREAM_REASON
-    )
-    stats = agg.finalize()
-    stats.extras["forced_dispatches"] = float(forced)
-    return stats, agg
+    return _finish_sched(engine, agg, reason, forced)
 
 
 def _stream_closed_scheduled(
@@ -781,18 +917,27 @@ def _stream_closed_scheduled(
     think_ms: float,
     reset: bool,
 ):
-    """Closed scheduled streaming (non-FCFS policy or depth > 1): exact
-    scalar queue loops with persistent per-drive schedulers.
+    """Closed scheduled streaming (non-FCFS policy or depth > 1).
 
-    The one-shot loop (``_replay_closed_scheduled``) alternates dispatch
-    and admission strictly after the initial depth-filling phase.  At a
-    chunk boundary the loop breaks *before* the next dispatch whenever an
-    admission is owed but the row lives in a later chunk, so the pending
-    queue always holds exactly what the one-shot loop would hold."""
+    A one-chunk stream runs the scheduled kernel when applicable.
+    Otherwise: exact scalar queue loops with persistent per-drive
+    schedulers.  The first ``queue_depth`` requests of each shard are
+    admitted at time zero, then dispatch and admission alternate strictly:
+    every completion admits the next request (plus ``think_ms``) and the
+    scheduler picks among the queued ones.  At a chunk boundary the loop
+    breaks *before* the next dispatch whenever an admission is owed but
+    the row lives in a later chunk, so the pending queue always holds
+    exactly what an unchunked replay would hold."""
     fleet = engine.fleet
     if reset:
         fleet.reset()
     agg = _StreamAggregator(fleet, "closed")
+    chunks = _counted(agg, stream)
+    current = next(chunks, None)
+    nxt = next(chunks, None)
+    forced, reason = _one_chunk_sched(engine, agg, current, nxt, "closed", think_ms)
+    if forced is not None:
+        return _finish_sched(engine, agg, None, forced)
     n_shards = len(fleet.drives)
     depth = engine.queue_depth
     scheds = [engine.scheduler.clone() for _ in range(n_shards)]
@@ -803,12 +948,9 @@ def _stream_closed_scheduled(
     for drive, sched in zip(fleet.drives, scheds):
         drive.attach_scheduler(sched)
     try:
-        chunks = _counted(agg, stream)
-        current = next(chunks, None)
         while current is not None:
-            nxt = next(chunks, None)
             final = nxt is None
-            queues = engine._route_closed(current)
+            queues = _route_closed(fleet, current)
             for s in range(n_shards):
                 buffers[s].extend(queues[s])
             for s, drive in enumerate(fleet.drives):
@@ -858,20 +1000,12 @@ def _stream_closed_scheduled(
                         break
                 del rows[:i]
                 agg.add_scalar(s, result)
-            current = nxt
+            current, nxt = nxt, next(chunks, None)
         forced = sum(sched.forced_dispatches for sched in scheds)
     finally:
         for drive in fleet.drives:
             drive.attach_scheduler(None)
-    engine.last_replay_path = "scalar"
-    engine.last_fast_reason = (
-        "fast disabled"
-        if engine.fast is not None and not engine.fast
-        else SCHED_STREAM_REASON
-    )
-    stats = agg.finalize()
-    stats.extras["forced_dispatches"] = float(forced)
-    return stats, agg
+    return _finish_sched(engine, agg, reason, forced)
 
 
 def _dispatch_open(engine: "TraceReplayEngine", stream: TraceStream, reset: bool):

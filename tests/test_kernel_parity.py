@@ -26,7 +26,6 @@ from repro.api.factory import clear_drive_build_cache
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.cache import FirmwareCache
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine
-from repro.sim.kernel import replay_kernel
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -280,19 +279,46 @@ def test_sequential_readahead_stream_refuses_fast_path():
     assert stats.cache_hits + stats.streamed > 0
 
 
-def test_warm_cache_refuses_fast_path():
-    drive = caching_drive()
-    trace = spaced_aligned_trace(drive)
-    engine = TraceReplayEngine(drive, fast=True)
-    engine.replay(trace)
-    assert engine.last_replay_path == "kernel"
-    # Re-replaying without reset on a warm cache is not kernel territory.
-    warm_trace = spaced_aligned_trace(drive, stride=11, seed=8)
-    # Seed the cache through the scalar interface first.
-    drive.read(0, 8, 10.0)
-    engine.replay(warm_trace, reset=False)
-    assert engine.last_replay_path == "scalar"
-    assert engine.last_fast_reason == "warm firmware cache (reset=False)"
+def offset_tracks_trace(drive: DiskDrive, offset: int, t0: float) -> Trace:
+    """Whole-track reads of every ninth track starting at ``offset``."""
+    geometry = drive.geometry
+    trace = Trace()
+    t = t0
+    for track in range(offset, geometry.num_tracks, 9):
+        first, count = geometry.track_bounds(track)
+        if count:
+            trace.append(t, first, count, "read")
+            t += 0.8
+    return trace
+
+
+def test_warm_cache_replay_matches_scalar():
+    """A reset=False replay on a warm firmware cache is judged by the
+    per-chunk warm-cache gate: reads that could hit what earlier requests
+    cached keep it on the scalar path, reads clear of the cache run the
+    kernel, and both are bitwise equal to fast=False."""
+
+    def run(fast, warm_trace):
+        drive = caching_drive()
+        engine = TraceReplayEngine(drive, fast=fast)
+        engine.replay(spaced_aligned_trace(drive))
+        # Seed the cache through the scalar interface too.
+        drive.read(0, 8, 10.0)
+        return engine, engine.replay(warm_trace(drive), reset=False)
+
+    cases = [
+        # Shares tracks with the first replay: possible cache hits.
+        (lambda d: spaced_aligned_trace(d, stride=11, seed=8), "scalar",
+         "firmware-cache-sensitive reuse"),
+        # Tracks the first replay never touched: clean misses.
+        (lambda d: offset_tracks_trace(d, 4, 1e5), "kernel", "ok"),
+    ]
+    for warm_trace, path, reason in cases:
+        engine, fast = run(True, warm_trace)
+        _, slow = run(False, warm_trace)
+        assert fast.to_dict() == slow.to_dict()
+        assert engine.last_replay_path == path
+        assert engine.last_fast_reason == reason
 
 
 def test_fast_false_pins_scalar_path():
@@ -328,16 +354,20 @@ def test_out_of_order_bus_refuses_fast_path():
     assert engine.last_fast_reason == "out-of-order bus"
 
 
-def test_replay_kernel_reports_reason_without_mutating_fleet():
-    drive = caching_drive()
-    fleet = LbnRangeShard([drive])
-    first, count = drive.geometry.track_bounds(0)
+def test_kernel_refusal_reports_reason_and_routes_once():
+    """A refused kernel chunk leaves no trace on the fleet: the scalar
+    fallback routes and serves every request exactly once."""
+    first, count = caching_drive().geometry.track_bounds(0)
     trace = Trace.from_records([(0.0, first, count, "read")] * 5)
-    stats, reason = replay_kernel(fleet, trace)
-    assert stats is None
-    assert reason == "firmware-cache-sensitive reuse"
-    assert drive.stats.requests == 0  # eligibility never touches the fleet
-    assert fleet.routed_requests == 0
+    fleet = LbnRangeShard([caching_drive()])
+    engine = TraceReplayEngine(fleet, fast=True)
+    stats = engine.replay(trace)
+    assert engine.last_replay_path == "scalar"
+    assert engine.last_fast_reason == "firmware-cache-sensitive reuse"
+    assert fleet.routed_requests == 5
+    assert fleet.drives[0].stats.requests == 5
+    reference = TraceReplayEngine(caching_drive(), fast=False).replay(trace)
+    assert stats.to_dict() == reference.to_dict()
 
 
 # --------------------------------------------------------------------------- #

@@ -290,13 +290,24 @@ def test_custom_scheduler_subclass_is_refused_honestly():
 
 
 @needs_numpy
-def test_warm_cache_state_is_refused():
-    # A caching drive that has already served requests cannot be replayed
-    # by the kernel without reset: firmware cache state is history.
-    drive = DiskDrive(small_test_specs(**SMALL))
-    trace = random_trace(drive, n=40, seed=11)
-    engine = TraceReplayEngine(drive, scheduler="sstf", queue_depth=4, fast=True)
-    engine.replay_closed(trace, think_ms=0.0)
-    engine.replay_closed(trace, think_ms=0.0, reset=False)
-    assert engine.last_replay_path == "scalar"
-    assert engine.last_fast_reason == "warm firmware cache (reset=False)"
+def test_warm_cache_state_matches_scalar():
+    # A caching drive that has already served requests is replayed without
+    # reset under the per-chunk warm-cache gate: the kernel runs only when
+    # no read can hit the warm cache, and the result is bitwise equal to
+    # the scalar queue loop either way.
+    def run(fast):
+        drive = DiskDrive(small_test_specs(**SMALL))
+        trace = random_trace(drive, n=40, seed=11)
+        engine = TraceReplayEngine(
+            drive, scheduler="sstf", queue_depth=4, fast=fast
+        )
+        engine.replay_closed(trace, think_ms=0.0)
+        return engine, engine.replay_closed(trace, think_ms=0.0, reset=False)
+
+    engine, fast = run(True)
+    _, slow = run(False)
+    assert fast.to_dict() == slow.to_dict()
+    assert engine.last_fast_reason in ("ok", "firmware-cache-sensitive reuse")
+    assert engine.last_replay_path == (
+        "kernel_sched" if engine.last_fast_reason == "ok" else "scalar"
+    )

@@ -26,6 +26,14 @@ from repro.api import (
 from repro.api.cli import main as cli_main
 from repro.disksim import DiskDrive, small_test_specs
 from repro.disksim.errors import ConfigError, RequestError
+from repro.faults import (
+    DriveFaultConfig,
+    FaultConfig,
+    GrownDefectConfig,
+    SlowdownConfig,
+    TransientFaultConfig,
+    attach_fleet_faults,
+)
 from repro.sim import (
     LbnRangeShard,
     Trace,
@@ -34,7 +42,7 @@ from repro.sim import (
     import_blktrace,
     iter_blktrace_chunks,
 )
-from repro.sim.stream import run_service
+from repro.sim.stream import SCHED_STREAM_REASON, run_service
 from repro.workloads.arrivals import (
     ARRIVALS,
     arrival_config,
@@ -44,6 +52,17 @@ from repro.workloads.arrivals import (
 )
 
 SAMPLE_BLKTRACE = "examples/sample.blktrace"
+
+try:
+    import numpy  # noqa: F401
+
+    HAVE_NUMPY = True
+except ImportError:
+    HAVE_NUMPY = False
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="asserts that the columnar kernel engages"
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -179,6 +198,7 @@ def test_stream_parity_closed(n_drives, policy, depth, chunk_requests):
     assert streamed.to_dict() == reference.to_dict()
 
 
+@needs_numpy
 @pytest.mark.parametrize("mode", ["open", "closed"])
 @pytest.mark.parametrize("n_drives", [1, 3])
 def test_stream_parity_kernel_path(mode, n_drives):
@@ -199,6 +219,7 @@ def test_stream_parity_kernel_path(mode, n_drives):
     assert streamed.to_dict() == reference.to_dict()
 
 
+@needs_numpy
 def test_stream_warm_cache_reuse_falls_back_bitwise():
     """Reads that revisit LBNs cached by *earlier chunks* must leave the
     kernel path (the dynamic warm-cache gate) and still match bitwise."""
@@ -216,6 +237,7 @@ def test_stream_warm_cache_reuse_falls_back_bitwise():
     assert engine.last_fast_reason == "firmware-cache-sensitive reuse"
 
 
+@needs_numpy
 def test_stream_mixed_path():
     """First chunk kernel-clean, second chunk re-reads it: the stream mixes
     kernel and scalar chunks and reports the 'mixed' path."""
@@ -250,6 +272,88 @@ def test_stream_scheduled_reason_and_forced_dispatches():
     assert "forced_dispatches" in streamed.extras
 
 
+@needs_numpy
+def test_one_chunk_scheduled_stream_runs_kernel():
+    """A one-chunk scheduled stream (every one-shot replay) runs the
+    scheduled kernel, bitwise equal to the scalar queue loop including
+    forced dispatches; two chunks of the same trace run the scalar loop."""
+    fleet = build_fleet(1, caching=False)
+    trace = build_trace(fleet, 150, seed=19)
+
+    def engine(fast):
+        return TraceReplayEngine(
+            fleet, scheduler="sptf", starvation_ms=5.0, fast=fast
+        )
+
+    reference = engine(False).replay_stream(TraceStream([trace]))
+    assert reference.extras["forced_dispatches"] > 0
+    fast = engine(True)
+    stats = fast.replay_stream(TraceStream([trace]))
+    assert fast.last_replay_path == "kernel_sched"
+    assert fast.last_fast_reason == "ok"
+    assert stats.to_dict() == reference.to_dict()
+    two = fast.replay_stream(trace.iter_chunks(100))
+    assert fast.last_replay_path == "scalar"
+    assert fast.last_fast_reason == SCHED_STREAM_REASON
+    assert two.to_dict() == reference.to_dict()
+
+
+def fault_schedule(fleet: LbnRangeShard, trace: Trace) -> FaultConfig:
+    """Every fault kind at once: transient errors on drive 0, which also
+    fail-stops onto a hot spare; a slowdown window and a grown defect
+    under an LBN the trace reads on drive 1."""
+    lo, hi = fleet.shard_range(1)
+    hot = next(lbn for lbn in trace.lbns if lo <= lbn < hi) - lo
+    return FaultConfig(
+        seed=3,
+        drives={
+            0: DriveFaultConfig(
+                fail_stop_ms=20.0,
+                spare=True,
+                transient=TransientFaultConfig(probability=0.2, max_retries=2),
+            ),
+            1: DriveFaultConfig(
+                grown_defects=(GrownDefectConfig(at_ms=0.0, lbn=hot, sectors=64),),
+                slowdowns=(SlowdownConfig(start_ms=50.0, end_ms=250.0, factor=3.0),),
+            ),
+        },
+    )
+
+
+@pytest.mark.parametrize("n_drives", [2, 3])
+@pytest.mark.parametrize("caching", [True, False])
+@pytest.mark.parametrize(
+    "mode,policy", [("open", "fcfs"), ("open", "sptf"),
+                    ("closed", "fcfs"), ("closed", "sptf")]
+)
+def test_stream_parity_under_faults(n_drives, caching, mode, policy):
+    """Streamed replay in 37-request chunks equals one-shot replay
+    bitwise under a fault schedule with every fault kind."""
+    trace = build_trace(build_fleet(n_drives), 300, seed=31)
+
+    def run(stream):
+        fleet = build_fleet(n_drives, caching)
+        attach_fleet_faults(
+            fleet, fault_schedule(fleet, trace),
+            spare_factory=lambda: build_fleet(1, caching).drives[0],
+        )
+        engine = TraceReplayEngine(fleet, scheduler=policy, queue_depth=4)
+        if mode == "open":
+            if stream:
+                return engine.replay_stream(trace.iter_chunks(37))
+            return engine.replay(trace)
+        if stream:
+            return engine.replay_closed_stream(trace.iter_chunks(37), think_ms=0.2)
+        return engine.replay_closed(trace, think_ms=0.2)
+
+    one_shot = run(stream=False)
+    extras = one_shot.extras
+    assert extras["fault_transient_errors"] > 0
+    assert extras["fault_redirected_requests"] > 0
+    assert extras["fault_slowdown_ms"] > 0
+    assert run(stream=True).to_dict() == one_shot.to_dict()
+
+
 def test_stream_fast_false_pins_scalar():
     fleet = build_fleet(2, caching=False)
     trace = build_trace(fleet, 200, seed=23)
@@ -273,11 +377,11 @@ def test_stream_parity_no_numpy(monkeypatch):
     """Scalar-only hosts stream through the exact batched path."""
     import repro.sim.stream as stream_mod
 
-    monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
     fleet = build_fleet(2)
     trace = build_trace(fleet, 200, seed=29)
     engine = TraceReplayEngine(fleet)
-    reference = engine.replay(trace)  # one-shot still has numpy available
+    reference = engine.replay(trace)  # before numpy is hidden
+    monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
     streamed = engine.replay_stream(trace.iter_chunks(31))
     assert streamed.to_dict() == reference.to_dict()
     assert engine.last_fast_reason == "numpy unavailable"
