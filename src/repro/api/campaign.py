@@ -332,11 +332,15 @@ class ProcessExecutor:
     per-point ``timeout_s`` meaningful), and a point whose worker is
     killed (crash), or that exceeds the timeout (hung worker: the process
     is killed and the pool rebuilt), is retried up to ``retries`` times
-    with a ``backoff_s`` pause.  A point that keeps failing becomes a
-    structured ``{"__failed__": ...}`` payload instead of an exception, so
-    one bad point cannot sink a thousand-point campaign.  Worker-raised
-    exceptions are *not* retried -- they are deterministic, and
-    :func:`run_scenario_payload_safe` already reports them structurally.
+    with a ``backoff_s`` pause.  A crash in a wave of several points
+    cannot be pinned on one of them, so their unfinished points are rerun
+    one at a time, uncharged: only a point that kills its own solo worker
+    spends a retry, and a crashing sibling never exhausts an innocent's.
+    A point that keeps failing becomes a structured ``{"__failed__": ...}``
+    payload instead of an exception, so one bad point cannot sink a
+    thousand-point campaign.  Worker-raised exceptions are *not* retried
+    -- they are deterministic, and :func:`run_scenario_payload_safe`
+    already reports them structurally.
     """
 
     def __init__(
@@ -371,6 +375,8 @@ class ProcessExecutor:
         results: list[dict[str, Any] | None] = [None] * len(items)
         attempts = [0] * len(items)
         pending = list(range(len(items)))
+        # points of a broken multi-point wave, each rerun in a wave of one
+        suspects: list[int] = []
         width = min(self.workers, len(items))
         context = multiprocessing.get_context("spawn")
         pool: cf.ProcessPoolExecutor | None = None
@@ -385,12 +391,15 @@ class ProcessExecutor:
                 )
 
         try:
-            while pending:
+            while pending or suspects:
                 if pool is None:
                     pool = cf.ProcessPoolExecutor(
                         max_workers=width, mp_context=context
                     )
-                wave, pending = pending[:width], pending[width:]
+                if suspects:
+                    wave = [suspects.pop(0)]
+                else:
+                    wave, pending = pending[:width], pending[width:]
                 futures = {pool.submit(fn, items[i]): i for i in wave}
                 done, hung = cf.wait(futures, timeout=self.timeout_s)
                 retry: list[int] = []
@@ -400,12 +409,14 @@ class ProcessExecutor:
                     error = future.exception()
                     if error is None:
                         results[index] = future.result()
-                    else:
+                    elif len(wave) > 1:
                         # BrokenProcessPool: some worker died mid-wave.
                         # We cannot tell which point killed it, so every
-                        # unfinished point of the wave is retried; the
-                        # true culprit fails again and exhausts its
-                        # retries, innocents complete on the next wave.
+                        # unfinished point is rerun alone, uncharged; the
+                        # true culprit crashes again on its own worker.
+                        broken = True
+                        suspects.append(index)
+                    else:
                         broken = True
                         requeue(
                             index,
@@ -441,7 +452,10 @@ class ProcessExecutor:
                         time.sleep(
                             self.backoff_s * max(attempts[i] for i in retry)
                         )
-                    pending = retry + pending
+                    if len(wave) > 1:
+                        pending = retry + pending
+                    else:
+                        suspects = retry + suspects
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)

@@ -48,9 +48,11 @@ Schedulers are registered by name (:func:`available_schedulers`,
 axes and the CLI can select them declaratively.
 
 Every registered policy also implements the **kernel vectorization
-contract** used by the event-batched replay kernel
-(:func:`repro.sim.kernel._service_shard_sched`, run by the stream drivers
-of :mod:`repro.sim.stream`): ``kernel_select`` scores
+contract** used by the replay kernel's scheduled dispatch
+(:func:`repro.sim.kernel._service_shard_sched` called with a scheduler,
+run by the stream drivers of :mod:`repro.sim.stream`; open FCFS
+dispatches in arrival order and never consults a scheduler):
+``kernel_select`` scores
 the whole pending queue against precomputed geometry columns (a
 :class:`KernelQueueView`) and returns the position the scalar ``_select``
 would have picked, bitwise-identically -- the kernel never re-implements
@@ -101,7 +103,8 @@ class KernelQueueView:
     """Columnar snapshot of a drive's pending queue for the replay kernel.
 
     Built once per shard-local chunk by
-    :func:`repro.sim.kernel._service_shard_sched`;
+    :func:`repro.sim.kernel._service_shard_sched` for scheduled dispatch
+    only (arrival-order dispatch keeps no queue and builds no view);
     each column holds one value per *trace request* (indexed by request
     index, not queue position) as both a numpy array and a plain Python
     list twin, so policy hooks can score small queues without touching

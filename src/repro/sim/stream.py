@@ -17,7 +17,8 @@ of one chunk, and :class:`_StreamAggregator` is the one place a
 Path selection per replay discipline:
 
 * **open FCFS** -- each chunk is serviced by the columnar kernel
-  (:func:`repro.sim.kernel._service_shard`) with accumulator-fold carry
+  (:func:`repro.sim.kernel._service_shard_sched` dispatching in arrival
+  order, with no scheduler and no queue) with accumulator-fold carry
   whenever the chunk is eligible, falling back to the exact scalar
   ``submit_batch`` path per chunk otherwise.  Mixing is bitwise-safe
   because both paths leave identical drive state.  Chunks whose reads
@@ -25,17 +26,17 @@ Path selection per replay discipline:
   :func:`repro.sim.kernel.warm_cache_clean` gate), so cache-hit servicing
   stays on the exact scalar path.
 * **closed FCFS, depth 1** (classic onereq) -- chunks go through the
-  event-batched scheduled kernel (:func:`_service_shard_sched`) with a
-  carried per-shard clock, or through an exact sequential scalar loop.
+  same kernel loop with an FCFS scheduler and a carried per-shard clock,
+  or through an exact sequential scalar loop.
 * **scheduled** (open non-FCFS; closed non-FCFS or depth > 1) -- a stream
-  of exactly one chunk is served whole by the scheduled kernel when it is
-  eligible.  Otherwise the exact scalar queue loops run with persistent
-  per-drive schedulers.  Open: dispatch decisions at or beyond the next
-  chunk's first timestamp are deferred until that chunk arrives, so every
-  request is admitted when it would be in an unchunked replay.  Closed:
-  admissions owed at a chunk boundary are performed before the next
-  dispatch, so the queue always holds exactly what an unchunked replay
-  would hold.
+  of exactly one chunk is served whole by the kernel's scheduled dispatch
+  (``kernel_sched``) when it is eligible.  Otherwise the exact scalar
+  queue loops run with persistent per-drive schedulers.  Open: dispatch
+  decisions at or beyond the next chunk's first timestamp are deferred
+  until that chunk arrives, so every request is admitted when it would be
+  in an unchunked replay.  Closed: admissions owed at a chunk boundary are
+  performed before the next dispatch, so the queue always holds exactly
+  what an unchunked replay would hold.
 
 The open-loop **service scenario** (:func:`run_service`) replays an
 arrival-process stream against an LBN-sharded fleet and reports
@@ -634,9 +635,11 @@ def _finish(engine, agg, kernel_chunks, scalar_chunks, kernel_path, reason):
 def _stream_open_fcfs(
     engine: "TraceReplayEngine", stream: TraceStream, reset: bool
 ):
-    """Open FCFS streaming: per-chunk kernel service with fold carry,
-    per-chunk scalar ``submit_batch`` fallback (bitwise-safe mixing)."""
-    from .kernel import _service_shard
+    """Open FCFS streaming: per-chunk kernel service in arrival order with
+    fold carry, per-chunk scalar ``submit_batch`` fallback (bitwise-safe
+    mixing).  Draining each chunk before the next is exact for FCFS: no
+    later-chunk request can be dispatched ahead of an earlier one."""
+    from .kernel import _service_shard_sched
 
     fleet = engine.fleet
     if reset:
@@ -659,8 +662,9 @@ def _stream_open_fcfs(
                 if not int(s_lbns.shape[0]):
                     continue
                 sh = agg.shards[shard]
-                out = _service_shard(
-                    np, drive, s_lbns, s_counts, s_issue, s_read,
+                out, _, _ = _service_shard_sched(
+                    np, drive, None, s_lbns, s_counts, s_issue, s_read,
+                    "open", 1, 0.0,
                     latency_start=sh.latency,
                     overlap_start=sh.overlap,
                     busy_start=sh.busy,

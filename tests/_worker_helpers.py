@@ -25,8 +25,10 @@ def crash_once(item: Mapping[str, Any]) -> dict[str, Any]:
 
     The marker file persists across attempts, so the retry succeeds --
     which is exactly the transient-infrastructure failure the executor's
-    retry loop exists for.
+    retry loop exists for.  An optional ``delay_s`` pause comes first, so
+    an item whose marker already exists is a slow healthy point.
     """
+    time.sleep(item.get("delay_s", 0.0))
     marker = Path(item["marker"])
     if not marker.exists():
         marker.write_text("crashed once")

@@ -76,6 +76,24 @@ class TestProcessExecutorRobustness:
         # though the crashing sibling took the whole pool down mid-wave
         assert all(isinstance(payload, dict) for payload in out)
 
+    def test_crash_in_a_shared_wave_spends_no_retry(self, tmp_path):
+        # A crash in a wave of several points cannot be pinned on one of
+        # them, so it is charged to none: with no retries at all, the
+        # crashing point and its slow healthy sibling (still running when
+        # the pool breaks) both complete on their solo reruns.
+        executor = ProcessExecutor(2, retries=0, backoff_s=0.0)
+        crashing, healthy = tmp_path / "crashing", tmp_path / "healthy"
+        healthy.write_text("never crashes")
+        items = [
+            {"marker": str(crashing)},
+            {"marker": str(healthy), "delay_s": 1.0},
+        ]
+        out = executor.map(helpers.crash_once, items)
+        assert out == [
+            {"ok": True, "survived": str(crashing)},
+            {"ok": True, "survived": str(healthy)},
+        ]
+
     def test_exhausted_retries_become_structured_failure(self):
         executor = ProcessExecutor(1, retries=1, backoff_s=0.0)
         out = executor.map(

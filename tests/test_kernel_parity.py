@@ -21,6 +21,7 @@ import pytest
 
 pytest.importorskip("numpy", reason="the columnar kernel requires numpy")
 
+from _parity_helpers import drive_states
 from repro.api import DriveConfig, FleetConfig, build_drive, build_fleet, stripe_trace
 from repro.api.factory import clear_drive_build_cache
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
@@ -81,12 +82,14 @@ def random_trace(
 
 
 def assert_parity(trace: Trace, make_target, expect_path: str = "kernel"):
-    """Replay ``trace`` both ways on identical fresh targets and compare."""
+    """Replay ``trace`` both ways on identical fresh targets and compare
+    the ``ReplayStats`` payloads and every drive's end state."""
     scalar_engine = TraceReplayEngine(make_target(), fast=False)
     scalar = scalar_engine.replay(trace)
     fast_engine = TraceReplayEngine(make_target(), fast=True)
     fast = fast_engine.replay(trace)
     assert fast_engine.last_replay_path == expect_path, fast_engine.last_fast_reason
+    assert drive_states(fast_engine) == drive_states(scalar_engine)
     a, b = scalar.to_dict(), fast.to_dict()
     # Integer counters: bitwise.
     for key in (
@@ -191,6 +194,7 @@ def test_warm_state_continuation_reset_false():
     fast = fast_engine.replay(trace_b, reset=False)
     assert fast_engine.last_replay_path == "kernel"
     assert scalar.to_dict() == fast.to_dict()
+    assert drive_states(fast_engine) == drive_states(scalar_engine)
 
 
 def test_warm_continuation_on_caching_drive_matches_scalar_sequence():

@@ -1,7 +1,8 @@
 """Event-batched scheduled kernel vs the scalar queue loop: bitwise parity.
 
-The scheduled kernel (``repro.sim.kernel.replay_kernel_sched``) vectorizes
-candidate scoring between admission events but must remain an *exact*
+The scheduled kernel (``repro.sim.kernel._service_shard_sched`` called
+with a scheduler, reported as ``kernel_sched``) vectorizes candidate
+scoring between admission events but must remain an *exact*
 re-implementation of the scalar queue loop: every test here replays the
 same trace twice -- ``fast=True`` (kernel) and ``fast=False`` (scalar) --
 and requires ``ReplayStats.to_dict()`` equality, which covers every float

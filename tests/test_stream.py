@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from _parity_helpers import drive_states
 from repro.api import (
     ResultStore,
     Scenario,
@@ -296,6 +297,92 @@ def test_one_chunk_scheduled_stream_runs_kernel():
     assert fast.last_replay_path == "scalar"
     assert fast.last_fast_reason == SCHED_STREAM_REASON
     assert two.to_dict() == reference.to_dict()
+
+
+@needs_numpy
+def test_stream_parity_fallback_head_from_previous_chunk():
+    """The second chunk opens with a multi-track write: its scalar
+    fallback must start from the head position the kernel committed at
+    the end of the first chunk."""
+    fleet = build_fleet(1, caching=False)
+    geometry = fleet.drives[0].geometry
+    trace = build_trace(fleet, 40, seed=37)
+    first, count = geometry.track_bounds(geometry.num_tracks // 2)
+    assert count > 0
+    t = trace.issue_ms[-1] + 0.1
+    trace.append(t, first + count // 2, 2 * count, "write")
+    tail = build_trace(fleet, 39, seed=41)
+    for issue, lbn, sectors, op in zip(
+        tail.issue_ms, tail.lbns, tail.counts, tail.ops
+    ):
+        trace.append(t + issue, lbn, sectors, op)
+
+    scalar = TraceReplayEngine(build_fleet(1, caching=False), fast=False)
+    reference = scalar.replay(trace)
+    engine = TraceReplayEngine(fleet)
+    streamed = engine.replay_stream(trace.iter_chunks(40))
+    assert engine.last_replay_path == "kernel"
+    assert streamed.to_dict() == reference.to_dict()
+    assert drive_states(engine) == drive_states(scalar)
+
+
+def multitrack_trace(geometry, seed: int) -> Trace:
+    """400 requests of 1-1200 sectors (most span several tracks), 40%
+    writes, interarrivals drawn from {0, 0.5, 5} ms."""
+    rng = random.Random(seed)
+    trace = Trace()
+    t = 0.0
+    for _ in range(400):
+        trace.append(
+            t,
+            rng.randrange(0, geometry.total_lbns - 1200),
+            rng.randint(1, 1200),
+            "write" if rng.random() < 0.4 else "read",
+        )
+        t += rng.choice([0.0, 0.5, 5.0])
+    return trace
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_kernel_leaves_drive_counters_bitwise_equal(seed):
+    """The drive's cumulative ``busy_ms`` is a left fold in service order
+    on every path, interleaving kernel rows with multi-track fallback rows,
+    so chunked streams and ``reset=False`` continuations leave the same
+    ``DriveStats`` as the scalar path, to the last bit."""
+
+    def make_fleet():
+        specs = small_test_specs(
+            "Quantum Atlas 10K II", cylinders_per_zone=12, num_zones=3
+        )
+        drive = DiskDrive(specs)
+        drive.cache.enable_caching = False
+        return LbnRangeShard([drive])
+
+    geometry = make_fleet().drives[0].geometry
+    trace = multitrack_trace(geometry, seed)
+    follow = multitrack_trace(geometry, seed + 1000)
+
+    def streamed(fast):
+        engine = TraceReplayEngine(make_fleet(), fast=fast)
+        engine.replay_stream(trace.iter_chunks(37))
+        return engine
+
+    fast = streamed(True)
+    assert fast.last_replay_path == "kernel"
+    assert drive_states(fast) == drive_states(streamed(False))
+
+    for policy, path in (("fcfs", "kernel"), ("sptf", "kernel_sched")):
+
+        def continued(fast):
+            engine = TraceReplayEngine(make_fleet(), scheduler=policy, fast=fast)
+            engine.replay(trace)
+            engine.replay(follow, reset=False)
+            return engine
+
+        fast = continued(True)
+        assert fast.last_replay_path == path
+        assert drive_states(fast) == drive_states(continued(False))
 
 
 def fault_schedule(fleet: LbnRangeShard, trace: Trace) -> FaultConfig:
