@@ -22,6 +22,17 @@ from repro.disksim import DiskDrive
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-baselines",
+        action="store_true",
+        default=False,
+        help="write the perf benchmarks' numbers into the committed "
+        "BENCH_replay.json and benchmarks/results/ instead of "
+        "benchmarks/perf/out/",
+    )
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -9,8 +9,9 @@ geometry.
 
 This benchmark measures per-point setup time for a 16-point campaign over
 the full-size reference model, cached vs uncached, writes the numbers to
-``benchmarks/results/BENCH_campaign_startup.txt`` via the shared recorder,
-and asserts the cache buys at least a 3x setup speedup.
+``BENCH_campaign_startup.txt`` via the shared recorder (under
+``benchmarks/perf/out/`` unless ``--update-baselines`` is given), and
+asserts the cache buys at least a 3x setup speedup.
 """
 
 from __future__ import annotations

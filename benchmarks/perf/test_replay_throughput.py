@@ -17,10 +17,10 @@ first zone, the paper's signature workload shape) five ways:
 The kernel is measured twice: ``seconds_cold`` includes the one-time
 per-geometry table construction (cached per process), ``seconds`` is the
 steady-state run campaigns actually see.  Wall-clock requests/second for
-every mode is written to ``BENCH_replay.json`` at the repository root
-(uploaded as a CI artifact) and appended as one line to
-``benchmarks/results/BENCH_history.jsonl`` so the repo accumulates a perf
-trajectory across runs.
+every mode is merged into a ``BENCH_replay.json`` and appended as one line
+to a ``BENCH_history.jsonl``, both under the git-ignored
+``benchmarks/perf/out/`` (uploaded as a CI artifact), or into the
+committed files with ``--update-baselines`` (see ``conftest.py``).
 
 Two regression gates run in the same measurement:
 
@@ -41,7 +41,7 @@ against the committed baseline (same-run normalization again: the speedup
 is a ratio of two runs on the same machine, so it transfers across
 hardware).  Results land in a ``scheduled`` section of
 ``BENCH_replay.json`` and as a second line ("kind": "scheduled") in
-``BENCH_history.jsonl``.
+``BENCH_history.jsonl``, wherever the run writes its numbers.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from repro.disksim import DiskDrive, DiskRequest
 from repro.sim import Trace, TraceReplayEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+#: The committed baseline every perf gate compares against.
 BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
-HISTORY_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_history.jsonl"
 
 MODEL = "Quantum Atlas 10K II"
 DRIVE_CONFIG = DriveConfig(model=MODEL)
@@ -89,8 +89,9 @@ SCHED_DEPTH = 8
 #: score keeps the most work inside the serial recurrence).
 MIN_SCHED_SPEEDUP = 8.0
 
-#: Committed baseline snapshotted at import, before any test rewrites
-#: ``BENCH_replay.json`` -- both benchmarks gate against the same commit.
+#: Committed baseline snapshotted at import, before a ``--update-baselines``
+#: run rewrites ``BENCH_replay.json`` -- every benchmark gates against the
+#: same commit.
 def _load_bench() -> dict:
     try:
         data = json.loads(BENCH_PATH.read_text())
@@ -138,9 +139,9 @@ def build_aligned_trace(drive: DiskDrive, n: int, seed: int = 42) -> Trace:
     return trace
 
 
-def _append_history(payload: dict) -> None:
-    """One line per benchmark run: the cross-run perf trajectory."""
-    line = {
+def _history_line(payload: dict) -> dict:
+    """The run's line of the cross-run perf trajectory."""
+    return {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
@@ -154,9 +155,6 @@ def _append_history(payload: dict) -> None:
         "kernel_speedup": payload["kernel"]["speedup_vs_naive"],
         "kernel_sharded_rps": payload["kernel_sharded"]["rps"],
     }
-    HISTORY_PATH.parent.mkdir(exist_ok=True)
-    with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line) + "\n")
 
 
 def _check_regressions(baseline: dict | None, payload: dict) -> list[str]:
@@ -177,7 +175,7 @@ def _check_regressions(baseline: dict | None, payload: dict) -> list[str]:
     return failures
 
 
-def test_replay_throughput(record):
+def test_replay_throughput(record, artifacts):
     reference = build_drive(DRIVE_CONFIG)
     trace = build_aligned_trace(reference, TRACE_REQUESTS)
     assert len(trace) >= 50_000
@@ -294,17 +292,14 @@ def test_replay_throughput(record):
         "min_kernel_speedup_required": MIN_KERNEL_SPEEDUP,
         "max_regression_allowed": MAX_REGRESSION,
     }
-    # History records every run; the baseline is only replaced when the
-    # regression gate passes, so a failing run cannot ratchet the committed
+    # History records every run; a committed baseline is only replaced
+    # when the regression gate passes, so a failing run cannot ratchet
     # BENCH_replay.json down and green-light its own rerun.  Only this
     # test's own keys are merged in: the ``scheduled`` and ``streaming``
     # sections belong to their own tests and must survive this rewrite.
-    _append_history(payload)
+    artifacts.append_history(_history_line(payload))
     regressions = _check_regressions(baseline, payload)
-    if not regressions:
-        merged = _load_bench()
-        merged.update(payload)
-        BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    artifacts.merge(payload, passed=not regressions)
 
     lines = [
         "Replay throughput (wall-clock requests/second)",
@@ -317,7 +312,7 @@ def test_replay_throughput(record):
         f"  kernel {N_DRIVES}-drive fleet   : {kernel_sharded_rps:>10.0f} rps  "
         f"({speedup_kernel_sharded:.2f}x)",
         f"  sim throughput (fleet) : {sharded_stats.requests_per_second:>10.0f} req/s of simulated time",
-        f"  artifacts: {BENCH_PATH.name}, {HISTORY_PATH.relative_to(REPO_ROOT)}",
+        f"  {artifacts.describe()}",
     ]
     record("BENCH_replay", "\n".join(lines))
 
@@ -377,7 +372,7 @@ def _time_sched_replay(trace: Trace, policy: str, fast: bool) -> tuple[float, ob
     return best, stats
 
 
-def _append_sched_history(section: dict) -> None:
+def _sched_history_line(section: dict) -> dict:
     line = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -390,9 +385,7 @@ def _append_sched_history(section: dict) -> None:
     }
     for policy, row in section["policies"].items():
         line[f"{policy}_speedup"] = row["speedup_vs_scalar"]
-    HISTORY_PATH.parent.mkdir(exist_ok=True)
-    with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line) + "\n")
+    return line
 
 
 def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
@@ -412,7 +405,7 @@ def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
     return failures
 
 
-def test_scheduled_replay_throughput(record):
+def test_scheduled_replay_throughput(record, artifacts):
     drive = build_drive(KERNEL_DRIVE_CONFIG)
     trace = build_sched_trace(drive, SCHED_REQUESTS)
     assert len(trace) == SCHED_REQUESTS
@@ -447,17 +440,12 @@ def test_scheduled_replay_throughput(record):
             f"  {policy:9s}: {len(trace) / kernel_s:>10.0f} rps kernel_sched, "
             f"{len(trace) / scalar_s:>8.0f} rps scalar  ({speedup:.2f}x)"
         )
-    lines.append(
-        f"  artifacts: {BENCH_PATH.name}, {HISTORY_PATH.relative_to(REPO_ROOT)}"
-    )
+    lines.append(f"  {artifacts.describe()}")
     record("BENCH_replay_scheduled", "\n".join(lines))
 
-    _append_sched_history(section)
+    artifacts.append_history(_sched_history_line(section))
     regressions = _check_sched_regressions(COMMITTED_BASELINE, section)
-    if not regressions:
-        merged = _load_bench()
-        merged["scheduled"] = section
-        BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    artifacts.merge({"scheduled": section}, passed=not regressions)
 
     slow = {
         policy: row["speedup_vs_scalar"]

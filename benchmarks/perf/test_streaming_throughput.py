@@ -18,15 +18,16 @@ a *ratio* (streamed rps / one-shot rps), so it transfers across machines:
 * the ratio must not regress more than 20 % below the committed value in
   the ``streaming`` section of ``BENCH_replay.json``.
 
-Results are merged into ``BENCH_replay.json`` (a ``streaming`` section,
+Results are merged into a ``BENCH_replay.json`` (a ``streaming`` section,
 preserving the sections owned by the other benchmarks) and appended as a
-``"kind": "streaming"`` line to ``benchmarks/results/BENCH_history.jsonl``.
+``"kind": "streaming"`` line to a ``BENCH_history.jsonl``, under
+``benchmarks/perf/out/`` unless ``--update-baselines`` is given (see
+``conftest.py``).
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import platform
 
@@ -34,18 +35,14 @@ from repro import build_drive
 from repro.sim import TraceStream
 
 from test_replay_throughput import (
-    BENCH_PATH,
     COMMITTED_BASELINE,
-    HISTORY_PATH,
     KERNEL_DRIVE_CONFIG,
     MAX_REGRESSION,
     MODEL,
     REPEATS,
-    REPO_ROOT,
     TRACE_REQUESTS,
     TraceReplayEngine,
     _best_of,
-    _load_bench,
     build_aligned_trace,
 )
 
@@ -57,8 +54,8 @@ STREAM_CHUNK_REQUESTS = 8_192
 MIN_STREAM_RATIO = 0.8
 
 
-def _append_streaming_history(section: dict) -> None:
-    line = {
+def _streaming_history_line(section: dict) -> dict:
+    return {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
@@ -71,9 +68,6 @@ def _append_streaming_history(section: dict) -> None:
         "streamed_rps": section["streamed"]["rps"],
         "stream_ratio": section["streamed"]["ratio_vs_one_shot"],
     }
-    HISTORY_PATH.parent.mkdir(exist_ok=True)
-    with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line) + "\n")
 
 
 def _check_streaming_regression(baseline: dict, section: dict) -> list[str]:
@@ -91,7 +85,7 @@ def _check_streaming_regression(baseline: dict, section: dict) -> list[str]:
     return []
 
 
-def test_streaming_throughput(record):
+def test_streaming_throughput(record, artifacts):
     drive = build_drive(KERNEL_DRIVE_CONFIG)
     trace = build_aligned_trace(drive, TRACE_REQUESTS)
     chunks = list(trace.iter_chunks(STREAM_CHUNK_REQUESTS))
@@ -130,12 +124,9 @@ def test_streaming_throughput(record):
         },
     }
 
-    _append_streaming_history(section)
+    artifacts.append_history(_streaming_history_line(section))
     regressions = _check_streaming_regression(COMMITTED_BASELINE, section)
-    if not regressions:
-        merged = _load_bench()
-        merged["streaming"] = section
-        BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    artifacts.merge({"streaming": section}, passed=not regressions)
 
     record(
         "BENCH_replay_streaming",
@@ -147,8 +138,7 @@ def test_streaming_throughput(record):
                 f"  one-shot kernel : {one_shot_rps:>10.0f} rps",
                 f"  streamed kernel : {streamed_rps:>10.0f} rps  "
                 f"({ratio:.3f}x of one-shot)",
-                f"  artifacts: {BENCH_PATH.name}, "
-                f"{HISTORY_PATH.relative_to(REPO_ROOT)}",
+                f"  {artifacts.describe()}",
             ]
         ),
     )

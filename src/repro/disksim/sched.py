@@ -52,26 +52,27 @@ contract** used by the replay kernel's scheduled dispatch
 (:func:`repro.sim.kernel._service_shard_sched` called with a scheduler,
 run by the stream drivers of :mod:`repro.sim.stream`; open FCFS
 dispatches in arrival order and never consults a scheduler):
-``kernel_select`` scores
-the whole pending queue against precomputed geometry columns (a
-:class:`KernelQueueView`) and returns the position the scalar ``_select``
-would have picked, bitwise-identically -- the kernel never re-implements
-policy semantics, it asks the policy to pick from columns.  Policies score
-small queues with plain Python scalars and switch to numpy array math
-above :data:`KERNEL_SMALL_QUEUE` pending requests; both variants perform
-the exact float operations of ``_select`` in the same order, so the choice
-of variant never changes a replay result.  Subclasses that override the
+``kernel_select`` picks from a :class:`KernelQueueView` -- the pending
+queue as a sorted position index plus precomputed geometry columns --
+and returns the request the scalar ``_select`` would have picked,
+bitwise-identically: the kernel never re-implements policy semantics, it
+asks the policy to pick from columns.  Subclasses that override the
 scalar hooks without providing matching kernel hooks are detected by
 :func:`kernel_fallback_reason` and replayed through the exact scalar
 queue loop instead.
 
-Queue operations are deliberately O(pending) per dispatch (linear scans
-over a plain list): the policies stay obviously-correct and deterministic,
-and the queues of the modeled scenarios are shallow (closed replay bounds
-depth explicitly; open replay only queues while arrivals outrun service).
-Replaying a heavily-overloaded open trace under a non-FCFS policy is
-quadratic in the backlog -- bound the offered load, or batch the sweep,
-before reaching for such a replay.
+The scalar queue operations are deliberately O(pending) per dispatch
+(linear scans over a plain list): they are the obviously-correct oracle.
+The kernel hooks are not: the view keeps the queue ordered by LBN (which
+is track and cylinder order), so C-LOOK, SSTF and traxtent batching
+bisect to the head's cylinder or the anchor's track, SPTF scores
+candidates outward from the head and stops once the seek time alone
+rules out every remaining one (the positioning-time scheduler
+construction of Jacobson & Wilkes 1991 and Worthington, Ganger & Patt
+1994), and the oldest request is tracked instead of searched for.  A
+kernel replay of an overloaded open trace therefore costs close to
+linear time in its length, while a fault-bearing scheduled replay (which
+runs the scalar loop) stays quadratic in the backlog.
 """
 
 from __future__ import annotations
@@ -91,96 +92,77 @@ class SchedulerError(DiskSimError):
     """Unknown scheduling policy or malformed scheduler configuration."""
 
 
-#: Pending-queue size at which the kernel hooks switch from plain Python
-#: scalar scoring to numpy array math.  Below this, interpreter-level scans
-#: beat numpy's fixed per-call overhead; above it, vectorization wins.
-#: Both variants compute the exact same floats in the exact same order, so
-#: the threshold is a pure performance knob -- it can never change results.
-KERNEL_SMALL_QUEUE = 48
-
-
 class KernelQueueView:
-    """Columnar snapshot of a drive's pending queue for the replay kernel.
+    """Columnar view of a drive's pending queue for the replay kernel.
 
     Built once per shard-local chunk by
     :func:`repro.sim.kernel._service_shard_sched` for scheduled dispatch
-    only (arrival-order dispatch keeps no queue and builds no view);
-    each column holds one value per *trace request* (indexed by request
-    index, not queue position) as both a numpy array and a plain Python
-    list twin, so policy hooks can score small queues without touching
-    numpy at all.  :attr:`pending` is the live queue: request indices in
-    admission order (ascending, matching the scalar scheduler's arrival
-    ``seq``), mutated in place by the kernel's dispatch loop.  The head
-    position and actuator availability are refreshed by the kernel before
-    every dispatch decision.
+    only (arrival-order dispatch keeps no queue and builds no view).
+    Columns are plain Python lists indexed by *request index* (the
+    request's position in the chunk, which is also its admission order and
+    so the scalar scheduler's arrival ``seq``).
 
-    In closed mode the issue-time *list* twins (``issue_l`` /
-    ``issue_cmd_l``) are refreshed on every admission, but their numpy
-    twins only when ``depth`` exceeds :data:`KERNEL_SMALL_QUEUE` -- below
-    that threshold the queue can never grow large enough for any built-in
-    hook (or :func:`kernel_oldest`) to take its numpy branch, so hooks
-    must treat the list twins as authoritative for small queues.
+    :attr:`keys` is the live queue, maintained by the kernel's dispatch
+    loop: one packed int ``lbn * n + idx`` per pending request (``n`` is
+    the chunk's request count), kept sorted.  Shard-local LBN order is
+    track order and cylinder order, so the keys are sorted by (track,
+    lbn, seq) and by (cylinder, lbn, seq) at once: the pending requests on
+    cylinder ``c`` or beyond start at the int bisect point of
+    ``track_first_l[c * surfaces] * n`` (the geometry's first LBN of each
+    track; an empty spare track's entry is the next track's first LBN).
+    ``key % n`` recovers a request index, and ``key_l[idx]`` is request
+    ``idx``'s key.
 
-    ``pos_l`` packs the per-request positioning constants
-    ``(cylinder, surface, settle, spt, sector_ms, skew, start_slot,
-    span)`` into one tuple per request so hot scoring loops (SPTF) pay a
-    single subscript + unpack instead of eight list indexings.
+    :attr:`dispatched` flags every request the kernel has dispatched, and
+    :attr:`oldest` is a lower bound on the lowest pending index, or -1
+    when admissions left issue order (see :func:`kernel_oldest`).
+    The head position and actuator availability are refreshed by the
+    kernel before every decision it hands to a policy.
+
+    ``pos_l`` packs the per-request positioning constants ``(surface,
+    settle, spt, sector_ms, skew, start_slot, span)`` into one tuple per
+    request so the SPTF scoring loop pays a single subscript + unpack;
+    ``seek_floor_l[d]`` is the least seek time of any distance >= ``d``,
+    an exact lower bound even for a seek curve that is not monotone.
     """
 
     __slots__ = (
-        "np", "pending", "head_cylinder", "head_surface", "actuator_free",
-        "rotation_ms", "head_switch_ms", "zero_latency", "lbn_key_scale",
-        "issue", "issue_cmd", "lbn", "track", "cylinder", "surface",
-        "start_slot", "spt", "sector_ms", "skew", "settle", "span",
-        "seek_lut",
-        "issue_l", "issue_cmd_l", "lbn_l", "track_l", "cylinder_l",
-        "surface_l", "start_slot_l", "spt_l", "sector_ms_l", "skew_l",
-        "settle_l", "span_l", "seek_lut_l", "pos_l",
-        "_arr",
+        "keys", "key_l", "n", "dispatched", "oldest", "head_cylinder",
+        "head_surface", "actuator_free", "rotation_ms", "head_switch_ms",
+        "zero_latency", "track_first_l", "surfaces", "issue_l",
+        "issue_cmd_l", "track_l", "cylinder_l", "seek_lut_l",
+        "seek_floor_l", "pos_l",
     )
 
     def __init__(self, **fields) -> None:
         for name in self.__slots__:
             setattr(self, name, fields.get(name))
-        self.pending = []
-        self._arr = None
-
-    def invalidate(self) -> None:
-        """Drop the cached pending array (call when ``pending`` changed)."""
-        self._arr = None
-
-    def pending_array(self):
-        """The pending queue as an int64 index array (cached per decision)."""
-        arr = self._arr
-        if arr is None:
-            np = self.np
-            arr = np.fromiter(self.pending, dtype=np.int64,
-                              count=len(self.pending))
-            self._arr = arr
-        return arr
+        self.keys = []
+        self.oldest = 0
 
 
 def kernel_oldest(view: KernelQueueView) -> int:
-    """Queue position of the longest-waiting pending request.
+    """Request index of the longest-waiting pending request.
 
-    First occurrence of the minimum issue time; since :attr:`pending` is in
-    admission order this matches the scalar ``_oldest``'s
-    ``(issue_time, seq)`` tie-break exactly.
+    Admission order is arrival ``seq`` order, and admissions normally come
+    in issue-time order too (open traces are sorted; closed completions
+    never go backwards), so the oldest request is the lowest pending
+    index: :attr:`KernelQueueView.oldest` is advanced past dispatched
+    requests, amortized O(1) per dispatch.  If a closed replay's think
+    time ever admits a request earlier than the one before it, the kernel
+    sets it to -1 and the scalar ``_oldest``'s ``(issue_time, seq)``
+    minimum is searched for instead.
     """
-    pending = view.pending
-    if len(pending) <= KERNEL_SMALL_QUEUE:
-        issue = view.issue_l
-        best = 0
-        best_t = issue[pending[0]]
-        for pos in range(1, len(pending)):
-            t = issue[pending[pos]]
-            if t < best_t:
-                best_t = t
-                best = pos
-        return best
-    np = view.np
-    arr = view.pending_array()
-    return int(np.argmin(view.issue[arr]))
+    oldest = view.oldest
+    if oldest >= 0:
+        dispatched = view.dispatched
+        while dispatched[oldest]:
+            oldest += 1
+        view.oldest = oldest
+        return oldest
+    n = view.n
+    issue = view.issue_l
+    return min((issue[key % n], key % n) for key in view.keys)[1]
 
 
 def _defining_class(cls: type, name: str) -> "type | None":
@@ -369,15 +351,19 @@ class Scheduler:
     # Kernel vectorization contract (see repro.sim.kernel)
     # ------------------------------------------------------------------ #
     def kernel_select(self, view: KernelQueueView) -> int:
-        """Columnar mirror of :meth:`_select`: the queue *position* (index
-        into ``view.pending``) the scalar policy would pick, computed from
-        the view's precomputed columns with the exact same float
-        operations in the exact same order."""
+        """Columnar mirror of :meth:`_select`: the position in
+        ``view.keys`` of the pending request the scalar policy would pick
+        (ties broken by ``seq``, i.e. by lower request index), computed
+        from the view's sorted keys and columns with the exact float
+        operations of :meth:`_select`.  The kernel consults it only when
+        at least two requests are pending: a lone request is dispatched
+        without a decision, so a policy whose kernel state would change on
+        such a call must keep that state in :meth:`kernel_removed`."""
         raise NotImplementedError
 
     def kernel_removed(self, view: KernelQueueView, idx: int) -> None:
         """Columnar mirror of :meth:`_on_removed` (``idx`` is the removed
-        request's index, not its queue position)."""
+        request's index)."""
 
     def kernel_reset(self) -> None:
         """Columnar mirror of :meth:`clear` for kernel-side derived state."""
@@ -398,7 +384,7 @@ class FCFSScheduler(Scheduler):
         return self._oldest()
 
     def kernel_select(self, view: KernelQueueView) -> int:
-        return kernel_oldest(view)
+        return bisect_left(view.keys, view.key_l[kernel_oldest(view)])
 
 
 class SSTFScheduler(Scheduler):
@@ -411,24 +397,50 @@ class SSTFScheduler(Scheduler):
         return min(self.queue, key=lambda e: (abs(e.cylinder - head), e.seq))
 
     def kernel_select(self, view: KernelQueueView) -> int:
-        pending = view.pending
+        # The nearest pending cylinder at or above the head is the run of
+        # keys starting at the head's bisect point, the nearest below it
+        # the run ending there.  The lowest index (= seq) wins within the
+        # nearer run, and across both runs on a distance tie.
+        keys = view.keys
+        n = view.n
+        cyl = view.cylinder_l
         head = view.head_cylinder
-        if len(pending) <= KERNEL_SMALL_QUEUE:
-            cyl = view.cylinder_l
-            best = 0
-            d = cyl[pending[0]] - head
-            best_d = -d if d < 0 else d
-            for pos in range(1, len(pending)):
-                d = cyl[pending[pos]] - head
-                if d < 0:
-                    d = -d
-                if d < best_d:
-                    best_d = d
-                    best = pos
-            return best
-        np = view.np
-        arr = view.pending_array()
-        return int(np.argmin(np.abs(view.cylinder[arr] - head)))
+        m = len(keys)
+        p = bisect_left(keys, view.track_first_l[head * view.surfaces] * n)
+        best = -1
+        if p < m:
+            best = keys[p] % n
+            at = p
+            right = cyl[best]
+            nearest = right - head
+            j = p + 1
+            while j < m:
+                idx = keys[j] % n
+                if cyl[idx] != right:
+                    break
+                if idx < best:
+                    best = idx
+                    at = j
+                j += 1
+        if p:
+            j = p - 1
+            idx = keys[j] % n
+            left = cyl[idx]
+            distance = head - left
+            if best < 0 or distance <= nearest:
+                if best < 0 or distance < nearest or idx < best:
+                    best = idx
+                    at = j
+                j -= 1
+                while j >= 0:
+                    idx = keys[j] % n
+                    if cyl[idx] != left:
+                        break
+                    if idx < best:
+                        best = idx
+                        at = j
+                    j -= 1
+        return at
 
 
 class SPTFScheduler(Scheduler):
@@ -484,117 +496,96 @@ class SPTFScheduler(Scheduler):
         return best
 
     def kernel_select(self, view: KernelQueueView) -> int:
-        pending = view.pending
+        # Candidates are scored nearest cylinder first, walking outward
+        # from the head's bisect point with one cursor per side.  Every
+        # key is bounded below by its seek term, and ``seek_floor_l[d]``
+        # bounds the seek of every distance >= d, so once the nearest
+        # unscored distance's floor exceeds the best key nothing left can
+        # win or even tie.  Ties on the key go to the lower seq (index),
+        # the scalar (key, seq) order.  Per candidate, the float
+        # operations and their order match _select exactly; the
+        # settle/switch terms are skipped when both are 0.0 (adding +0.0
+        # to a positive float is the identity, so the sums are bitwise
+        # unchanged).
+        keys = view.keys
+        n = view.n
+        cyl = view.cylinder_l
+        lut = view.seek_lut_l
+        floor = view.seek_floor_l
+        issue_cmd = view.issue_cmd_l
+        cols = view.pos_l
         head_cyl = view.head_cylinder
         head_surf = view.head_surface
         act_free = view.actuator_free
         rotation = view.rotation_ms
         hs_ms = view.head_switch_ms
         zero_latency = view.zero_latency
-        if len(pending) <= KERNEL_SMALL_QUEUE:
-            # Scored in admission (= seq) order with strict less-than, so
-            # the first occurrence of the minimum key wins -- the scalar
-            # (key, seq) tie-break exactly.  Two exact shortcuts keep the
-            # loop skinny: every key is bounded below by its seek term, so
-            # a candidate whose seek alone exceeds the best key so far can
-            # be skipped before the rotation-phase math (it cannot win or
-            # even tie); and the settle/switch terms are skipped when both
-            # are 0.0 (adding +0.0 to a positive float is the identity, so
-            # the sums are bitwise unchanged).  Float operations and their
-            # order otherwise match _select exactly.
-            lut = view.seek_lut_l
-            cyl = view.cylinder_l
-            issue_cmd = view.issue_cmd_l
-            cols = view.pos_l
-            best = 0
-            best_key = math.inf
-            if zero_latency:
-                for pos, idx in enumerate(pending):
-                    distance = cyl[idx] - head_cyl
-                    if distance < 0:
-                        distance = -distance
-                    seek = lut[distance]
-                    if seek > best_key:
-                        continue
-                    c, sf, settle, spt, sector_ms, skew, start_slot, span = (
-                        cols[idx]
-                    )
-                    start = issue_cmd[idx]
-                    if act_free > start:
-                        start = act_free
-                    if settle == 0.0 and (distance != 0 or sf == head_surf):
-                        arrival = start + seek
-                        base = seek
-                    else:
-                        switch = 0.0
-                        if distance == 0 and sf != head_surf:
-                            switch = hs_ms
-                        arrival = start + seek + settle + switch
-                        base = seek + settle + switch
-                    head_slot = (
-                        ((arrival % rotation) / rotation) * spt - skew
-                    ) % spt
-                    rel = (head_slot - start_slot) % spt
-                    if rel < span:
-                        key = base
-                    else:
-                        key = base + (spt - rel) * sector_ms
-                    if key < best_key:
-                        best_key = key
-                        best = pos
-                return best
-            for pos, idx in enumerate(pending):
-                distance = cyl[idx] - head_cyl
-                if distance < 0:
-                    distance = -distance
-                seek = lut[distance]
-                if seek > best_key:
-                    continue
-                c, sf, settle, spt, sector_ms, skew, start_slot, span = (
-                    cols[idx]
-                )
-                start = issue_cmd[idx]
-                if act_free > start:
-                    start = act_free
-                if settle == 0.0 and (distance != 0 or sf == head_surf):
-                    arrival = start + seek
-                    base = seek
-                else:
-                    switch = 0.0
-                    if distance == 0 and sf != head_surf:
-                        switch = hs_ms
-                    arrival = start + seek + settle + switch
-                    base = seek + settle + switch
-                head_slot = (
-                    ((arrival % rotation) / rotation) * spt - skew
-                ) % spt
-                rel = (head_slot - start_slot) % spt
-                key = base + (spt - rel) * sector_ms
-                if key < best_key:
-                    best_key = key
-                    best = pos
-            return best
-        np = view.np
-        arr = view.pending_array()
-        distance = np.abs(view.cylinder[arr] - head_cyl)
-        seek = view.seek_lut[distance]
-        switch = np.where(
-            (distance == 0) & (view.surface[arr] != head_surf), hs_ms, 0.0
-        )
-        settle = view.settle[arr]
-        start = np.maximum(view.issue_cmd[arr], act_free)
-        arrival = start + seek + settle + switch
-        spt = view.spt[arr]
-        head_angle = ((arrival % rotation) / rotation) * spt
-        head_slot = (head_angle - view.skew[arr]) % spt
-        rel = (head_slot - view.start_slot[arr]) % spt
-        if zero_latency:
-            latency = np.where(
-                rel < view.span[arr], 0.0, (spt - rel) * view.sector_ms[arr]
-            )
+        m = len(keys)
+        r = bisect_left(keys, view.track_first_l[head_cyl * view.surfaces] * n)
+        left = r - 1
+        far = len(lut)  # beyond every real distance: that side is empty
+        if r < m:
+            idx_r = keys[r] % n
+            d_r = cyl[idx_r] - head_cyl
         else:
-            latency = (spt - rel) * view.sector_ms[arr]
-        return int(np.argmin(seek + settle + switch + latency))
+            d_r = far
+        if left >= 0:
+            idx_l = keys[left] % n
+            d_l = head_cyl - cyl[idx_l]
+        else:
+            d_l = far
+        best = at = -1
+        best_key = math.inf
+        while True:
+            if d_r <= d_l:
+                if d_r == far:
+                    break
+                idx = idx_r
+                distance = d_r
+                pos = r
+                r += 1
+                if r < m:
+                    idx_r = keys[r] % n
+                    d_r = cyl[idx_r] - head_cyl
+                else:
+                    d_r = far
+            else:
+                idx = idx_l
+                distance = d_l
+                pos = left
+                left -= 1
+                if left >= 0:
+                    idx_l = keys[left] % n
+                    d_l = head_cyl - cyl[idx_l]
+                else:
+                    d_l = far
+            if floor[distance] > best_key:
+                break
+            seek = lut[distance]
+            sf, settle, spt, sector_ms, skew, start_slot, span = cols[idx]
+            start = issue_cmd[idx]
+            if act_free > start:
+                start = act_free
+            if settle == 0.0 and (distance != 0 or sf == head_surf):
+                arrival = start + seek
+                base = seek
+            else:
+                switch = 0.0
+                if distance == 0 and sf != head_surf:
+                    switch = hs_ms
+                arrival = start + seek + settle + switch
+                base = seek + settle + switch
+            head_slot = (((arrival % rotation) / rotation) * spt - skew) % spt
+            rel = (head_slot - start_slot) % spt
+            if zero_latency and rel < span:
+                key = base
+            else:
+                key = base + (spt - rel) * sector_ms
+            if key < best_key or (key == best_key and idx < best):
+                best_key = key
+                best = idx
+                at = pos
+        return at
 
 
 class CLOOKScheduler(Scheduler):
@@ -616,46 +607,12 @@ class CLOOKScheduler(Scheduler):
         return min(pool, key=lambda e: (e.cylinder, e.request.lbn, e.seq))
 
     def kernel_select(self, view: KernelQueueView) -> int:
-        pending = view.pending
-        head = view.head_cylinder
-        if len(pending) <= KERNEL_SMALL_QUEUE:
-            cyl = view.cylinder_l
-            lbn = view.lbn_l
-            best = -1
-            best_c = best_l = 0
-            for pos, idx in enumerate(pending):
-                c = cyl[idx]
-                if c >= head:
-                    lb = lbn[idx]
-                    if best < 0 or c < best_c or (c == best_c and lb < best_l):
-                        best, best_c, best_l = pos, c, lb
-            if best >= 0:
-                return best
-            idx = pending[0]
-            best, best_c, best_l = 0, cyl[idx], lbn[idx]
-            for pos in range(1, len(pending)):
-                idx = pending[pos]
-                c = cyl[idx]
-                lb = lbn[idx]
-                if c < best_c or (c == best_c and lb < best_l):
-                    best, best_c, best_l = pos, c, lb
-            return best
-        np = view.np
-        arr = view.pending_array()
-        cyl = view.cylinder[arr]
-        lbn = view.lbn[arr]
-        ahead = cyl >= head
-        if bool(ahead.any()):
-            pool = np.nonzero(ahead)[0]
-            cyl = cyl[pool]
-            lbn = lbn[pool]
-        else:
-            pool = None
-        # Exact (cylinder, lbn) lexicographic min: shard-local LBNs are
-        # strictly below lbn_key_scale, so the packed int64 key cannot
-        # collide, and argmin's first-occurrence rule is the seq tie-break.
-        pos = int(np.argmin(cyl * view.lbn_key_scale + lbn))
-        return pos if pool is None else int(pool[pos])
+        # Key order is (cylinder, lbn, seq) order: the first key at or
+        # after the head's cylinder, else the lowest key overall.
+        keys = view.keys
+        first = view.track_first_l[view.head_cylinder * view.surfaces]
+        p = bisect_left(keys, first * view.n)
+        return p if p < len(keys) else 0
 
 
 class TraxtentBatchScheduler(Scheduler):
@@ -699,29 +656,29 @@ class TraxtentBatchScheduler(Scheduler):
         self._kbatch = []
 
     def kernel_select(self, view: KernelQueueView) -> int:
+        keys = view.keys
         batch = self._kbatch
         if not batch:
-            pending = view.pending
-            anchor = pending[kernel_oldest(view)]
-            anchor_track = view.track_l[anchor]
-            if len(pending) <= KERNEL_SMALL_QUEUE:
-                track = view.track_l
-                mates = [idx for idx in pending if track[idx] == anchor_track]
-                # Stable sort over admission order == (lbn, seq) order.
-                mates.sort(key=view.lbn_l.__getitem__)
-            else:
-                np = view.np
-                arr = view.pending_array()
-                in_extent = arr[view.track[arr] == anchor_track]
-                order = np.argsort(view.lbn[in_extent], kind="stable")
-                mates = in_extent[order].tolist()
-            self._kbatch = batch = mates
-        # pending holds ascending request indices, so position by bisection.
-        return bisect_left(view.pending, batch[0])
+            # The batch is the anchor track's run of keys around the
+            # anchor's own, already in (lbn, seq) order.
+            n = view.n
+            track = view.track_l
+            anchor = kernel_oldest(view)
+            anchor_track = track[anchor]
+            lo = bisect_left(keys, view.key_l[anchor])
+            hi = lo + 1
+            while lo and track[keys[lo - 1] % n] == anchor_track:
+                lo -= 1
+            while hi < len(keys) and track[keys[hi] % n] == anchor_track:
+                hi += 1
+            self._kbatch = batch = keys[lo:hi]
+            return lo
+        return bisect_left(keys, batch[0])
 
     def kernel_removed(self, view: KernelQueueView, idx: int) -> None:
-        if idx in self._kbatch:
-            self._kbatch.remove(idx)
+        key = view.key_l[idx]
+        if key in self._kbatch:
+            self._kbatch.remove(key)
 
 
 # --------------------------------------------------------------------------- #
@@ -780,7 +737,6 @@ def make_scheduler(
 __all__ = [
     "CLOOKScheduler",
     "FCFSScheduler",
-    "KERNEL_SMALL_QUEUE",
     "KernelQueueView",
     "QueuedRequest",
     "SCHEDULERS",

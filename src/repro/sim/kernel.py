@@ -32,9 +32,9 @@ replay in one of two dispatch orders:
   track.
 * **scheduled** -- every other policy and closed queues of any depth
   (closed depth-1 FCFS included): admission and the dispatch-time policy
-  decision stay in the serial loop, but candidate scoring over the
-  pending queue is delegated to the scheduler's vectorized
-  ``kernel_select`` hook over precomputed columns
+  decision stay in the serial loop, which keeps the pending queue as one
+  LBN-sorted index; the choice is delegated to the scheduler's
+  ``kernel_select`` hook over that index and precomputed columns
   (:class:`~repro.disksim.sched.KernelQueueView`).
 
 Each dispatched request is serviced by the same inlined single-track
@@ -80,6 +80,7 @@ continuations stay consistent whichever path serves them.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING
 
 from ..disksim.drive import READ, WRITE, DiskRequest
@@ -172,6 +173,28 @@ def seek_table_list(curve: "SeekCurve", n_cylinders: int) -> list[float]:
     table = per_curve.get(key)
     if table is None:
         table = seek_table(curve, n_cylinders).tolist()
+        per_curve[key] = table
+    return table
+
+
+def seek_floor_list(curve: "SeekCurve", n_cylinders: int) -> list[float]:
+    """``floor[d] == min(table[d:])`` of :func:`seek_table` (cached): an
+    exact lower bound on the seek time of every distance >= ``d``.
+
+    Fitted curves are monotone, and then the floor *is* the
+    :func:`seek_table_list` list; but a drive accepts any ``seek_curve``
+    object (a measured one may dip), and SPTF's early stop must stay exact
+    for it too."""
+    per_curve = _SEEK_TABLES.setdefault(curve, {})
+    key = ("floor", n_cylinders)
+    table = per_curve.get(key)
+    if table is None:
+        np = _numpy()
+        seeks = seek_table(curve, n_cylinders)
+        if bool((seeks[1:] >= seeks[:-1]).all()):
+            table = seek_table_list(curve, n_cylinders)
+        else:
+            table = np.minimum.accumulate(seeks[::-1])[::-1].tolist()
         per_curve[key] = table
     return table
 
@@ -371,9 +394,15 @@ def _service_shard_sched(
       columns double as the outputs.
     * otherwise the loop interleaves admission (requests entering the
       pending queue) with dispatch, asking the scheduler's
-      ``kernel_select`` hook to score the whole pending queue against the
-      columns (a :class:`~repro.disksim.sched.KernelQueueView`).
-      Selection mirrors ``Scheduler.pop`` (starvation bound,
+      ``kernel_select`` hook to pick from a
+      :class:`~repro.disksim.sched.KernelQueueView`: the pending queue as
+      a sorted list of packed ``lbn * n + idx`` keys (``insort`` on
+      admission; the hook returns the chosen key's position, which is
+      deleted) plus the columns, so a policy reads only the part of the
+      queue near the head or the anchor track.  The oldest pending
+      request is tracked, not searched for, and a lone pending request
+      is dispatched without asking the policy.  Selection mirrors
+      ``Scheduler.pop`` (starvation bound,
       forced-dispatch accounting, seq tie-breaking), so the replay is
       bitwise identical to the scalar queue loop.
 
@@ -384,12 +413,7 @@ def _service_shard_sched(
     chunked replay (:mod:`repro.sim.stream`) continue an earlier chunk's
     accumulator fold and closed-loop clock bitwise-exactly.
     """
-    from ..disksim.sched import (
-        KERNEL_SMALL_QUEUE,
-        KernelQueueView,
-        Scheduler,
-        kernel_oldest,
-    )
+    from ..disksim.sched import KernelQueueView, Scheduler, kernel_oldest
 
     out = _ShardOutcome()
     n = int(lbns.shape[0])
@@ -487,51 +511,34 @@ def _service_shard_sched(
         ).tolist()
         completions = [0.0] * n
     else:
-        seek_lut_l = seek_table_list(drive.seek_curve, geometry.cylinders)
         span_col = np.minimum(counts, spt_col)
         cyl_l = cyl.tolist()
         surf_l = surf.tolist()
-        span_l = span_col.tolist()
+        seek_lut_l = seek_table_list(drive.seek_curve, geometry.cylinders)
         view = KernelQueueView(
-            np=np,
+            n=n,
             rotation_ms=rotation,
             head_switch_ms=head_switch_cost,
             zero_latency=zero_latency,
-            lbn_key_scale=geometry.total_lbns,
-            issue=issue_col,
-            issue_cmd=issue_cmd_col,
-            lbn=lbns,
-            track=track,
-            cylinder=cyl,
-            surface=surf,
-            start_slot=start_slot_col,
-            spt=spt_col,
-            sector_ms=sector_ms_col,
-            skew=skew_col,
-            settle=settle_col,
-            span=span_col,
-            seek_lut=seek_lut,
+            track_first_l=geometry._track_first_lbn,
+            surfaces=surfaces,
             issue_l=issue_l,
             issue_cmd_l=issue_cmd_l,
-            lbn_l=lbn_l,
             track_l=track.tolist(),
             cylinder_l=cyl_l,
-            surface_l=surf_l,
-            start_slot_l=start_slot_l,
-            spt_l=spt_l,
-            sector_ms_l=sector_ms_l,
-            skew_l=skew_l,
-            settle_l=settle_l,
-            span_l=span_l,
             seek_lut_l=seek_lut_l,
+            seek_floor_l=seek_floor_list(drive.seek_curve, geometry.cylinders),
             pos_l=list(
                 zip(
-                    cyl_l, surf_l, settle_l, spt_l, sector_ms_l, skew_l,
-                    start_slot_l, span_l,
+                    surf_l, settle_l, spt_l, sector_ms_l, skew_l,
+                    start_slot_l, span_col.tolist(),
                 )
             ),
         )
-        pending = view.pending
+        # One sorted index serves every policy; see KernelQueueView.
+        keys = view.keys
+        key_l = view.key_l = (lbns * n + np.arange(n, dtype=np.int64)).tolist()
+        dispatched = view.dispatched = bytearray(n)
         starvation = scheduler.starvation_ms
         ksel = scheduler.kernel_select
         # The base-class removal hook is a no-op; skip the call entirely
@@ -586,22 +593,10 @@ def _service_shard_sched(
     now = now_start
     i = 0
     if not open_mode:
-        issue_np = issue_col
-        issue_cmd_np = issue_cmd_col
-        # The built-in hooks and kernel_oldest read the numpy issue twins
-        # only once the queue outgrows KERNEL_SMALL_QUEUE, which a closed
-        # queue bounded by ``depth`` never does below that threshold -- the
-        # list twins are authoritative there, so the (comparatively costly)
-        # per-admission numpy scalar stores are skipped.
-        sync_np = depth > KERNEL_SMALL_QUEUE
-        while i < n and len(pending) < depth:
-            issue_cmd_v = now + cmd_ms
+        while i < n and len(keys) < depth:
             issue_l[i] = now
-            issue_cmd_l[i] = issue_cmd_v
-            if sync_np:
-                issue_np[i] = now
-                issue_cmd_np[i] = issue_cmd_v
-            pending.append(i)
+            issue_cmd_l[i] = now + cmd_ms
+            insort(keys, key_l[i])
             i += 1
 
     while True:
@@ -612,7 +607,7 @@ def _service_shard_sched(
             i += 1
         else:
             if open_mode:
-                if pending:
+                if keys:
                     # Busy drive: decide when the mechanism frees up.
                     decision = act_free
                 else:
@@ -624,37 +619,38 @@ def _service_shard_sched(
                     if act_free > decision:
                         decision = act_free
                 while i < n and issue_l[i] <= decision:
-                    pending.append(i)
+                    insort(keys, key_l[i])
                     i += 1
             else:
-                if not pending:
+                if not keys:
                     break
                 decision = act_free
                 if now > decision:
                     decision = now
 
             # ---- pop: mirror of Scheduler.pop (starvation bound first,
-            # then the policy, forced-dispatch accounting, removal hooks) #
-            view.head_cylinder = head_cyl
-            view.head_surface = head_surf
-            view.actuator_free = act_free
-            view._arr = None
-            if starvation is not None:
-                opos = kernel_oldest(view)
-                oidx = pending[opos]
-                if decision - issue_l[oidx] > starvation:
-                    if pending[ksel(view)] != oidx:
-                        forced += 1
-                    del pending[opos]
-                    idx = oidx
-                else:
-                    spos = ksel(view)
-                    idx = pending[spos]
-                    del pending[spos]
+            # then the policy, forced-dispatch accounting, removal hooks).
+            # A lone pending request is every policy's pick and is never
+            # a forced dispatch, so the hooks only see real choices.  #
+            if len(keys) == 1:
+                pos = 0
             else:
-                spos = ksel(view)
-                idx = pending[spos]
-                del pending[spos]
+                view.head_cylinder = head_cyl
+                view.head_surface = head_surf
+                view.actuator_free = act_free
+                if starvation is not None:
+                    idx = kernel_oldest(view)
+                    if decision - issue_l[idx] > starvation:
+                        pos = bisect_left(keys, key_l[idx])
+                        if ksel(view) != pos:
+                            forced += 1
+                    else:
+                        pos = ksel(view)
+                else:
+                    pos = ksel(view)
+            idx = keys[pos] % n
+            del keys[pos]
+            dispatched[idx] = 1
             if krem is not None:
                 krem(view, idx)
 
@@ -878,13 +874,13 @@ def _service_shard_sched(
         if not open_mode:
             now = completion + think_ms
             if i < n:
-                issue_cmd_v = now + cmd_ms
+                if now < issue_l[i - 1]:
+                    # Only a negative think time admits out of issue
+                    # order; from here on the oldest is searched for.
+                    view.oldest = -1
                 issue_l[i] = now
-                issue_cmd_l[i] = issue_cmd_v
-                if sync_np:
-                    issue_np[i] = now
-                    issue_cmd_np[i] = issue_cmd_v
-                pending.append(i)
+                issue_cmd_l[i] = now + cmd_ms
+                insort(keys, key_l[i])
                 i += 1
 
     # ---- commit drive state and aggregate counters --------------------- #
@@ -927,6 +923,7 @@ __all__ = [
     "clear_kernel_tables",
     "fleet_eligibility",
     "geometry_tables",
+    "seek_floor_list",
     "seek_table",
     "seek_table_list",
     "shard_split",

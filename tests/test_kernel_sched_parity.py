@@ -11,7 +11,8 @@ and requires ``ReplayStats.to_dict()`` equality, which covers every float
 
 * policy x queue depth x track alignment (closed replay),
 * open replay with same-timestamp bursts,
-* bursts larger than ``KERNEL_SMALL_QUEUE`` (numpy scoring hooks),
+* deep closed queues (depth 64: many candidates per decision) and a
+  seek curve that is not monotone (SPTF's early stop),
 * starvation-bound forced dispatches,
 * deterministic sequence tie-breaking on duplicate LBNs,
 * multi-drive fleets, FCFS depth-1 (classic onereq), and every
@@ -20,7 +21,7 @@ and requires ``ReplayStats.to_dict()`` equality, which covers every float
 The suite is dual-mode: with numpy installed the fast side runs through
 ``kernel_sched``; without numpy it honestly degrades to the scalar loop
 (``"numpy unavailable"``) and every parity assertion still holds.  CI runs
-it both ways (the ``scheduled-kernel-parity`` job).
+it both ways (the ``kernel-parity`` job).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 import pytest
 
 from repro.disksim import DiskDrive, FirmwareCache, small_test_specs
-from repro.disksim.sched import KERNEL_SMALL_QUEUE, Scheduler
+from repro.disksim.sched import Scheduler
 from repro.sim import Trace, TraceReplayEngine
 
 POLICIES = ("fcfs", "sstf", "sptf", "clook", "traxtent")
@@ -161,15 +162,52 @@ def test_open_parity_with_bursts(policy):
 
 @pytest.mark.parametrize("policy", ("sstf", "sptf", "traxtent"))
 def test_large_queue_uses_numpy_scoring_and_matches(policy):
-    # Deeper than KERNEL_SMALL_QUEUE so the vectorized numpy scoring hooks
-    # run (below the threshold the kernel scores via the list twins).
-    depth = KERNEL_SMALL_QUEUE + 16
+    # Depth 64 keeps dozens of candidates pending at every decision, so
+    # the hooks' index walks (SSTF's cylinder runs, SPTF's outward walk
+    # with its seek-floor cut-off, traxtent's track slice) reach far past
+    # the head's bisect point.  The name predates the sorted index, when
+    # queues this deep were scored with numpy.
+    depth = 64
     trace = random_trace(cacheless_drive(), n=3 * depth, interarrival_ms=0.0)
     kernel, scalar, engine = replay_both(
         trace, scheduler=policy, queue_depth=depth
     )
     assert engine.last_replay_path == FAST_PATH
     assert kernel == scalar
+
+
+class DippingSeekCurve:
+    """A measured-looking seek curve that is not monotone: long seeks
+    (past a third of the stroke) cost less than mid-length ones."""
+
+    def __init__(self, curve) -> None:
+        self.curve = curve
+
+    def seek_time(self, distance: int) -> float:
+        seek = self.curve.seek_time(distance)
+        return seek * 0.4 if distance > 12 else seek
+
+
+def test_sptf_stops_exactly_under_a_non_monotone_seek_curve():
+    # SPTF's outward walk stops on a lower bound of every remaining seek;
+    # with a curve that dips, the bound must come from the dip, not from
+    # the seek at the current distance, or far candidates are missed.
+    def dipping_drive() -> DiskDrive:
+        drive = cacheless_drive()
+        return DiskDrive(
+            drive.specs,
+            cache=FirmwareCache(enable_caching=False),
+            seek_curve=DippingSeekCurve(drive.seek_curve),
+        )
+
+    trace = random_trace(cacheless_drive(), n=150, interarrival_ms=0.05)
+    payloads = []
+    for fast in (True, False):
+        engine = TraceReplayEngine(dipping_drive(), scheduler="sptf", fast=fast)
+        payloads.append(engine.replay(trace).to_dict())
+        if fast:
+            assert engine.last_replay_path == FAST_PATH
+    assert payloads[0] == payloads[1]
 
 
 # --------------------------------------------------------------------------- #
