@@ -121,7 +121,10 @@ class KernelQueueView:
 
     ``pos_l`` packs the per-request positioning constants ``(surface,
     settle, spt, sector_ms, skew, start_slot, span)`` into one tuple per
-    request so the SPTF scoring loop pays a single subscript + unpack;
+    request so the SPTF scoring loop pays a single subscript + unpack.
+    It is ``None`` until :meth:`positions` zips it from ``pos_cols`` (the
+    seven columns): only positioning-time scoring reads it, and the other
+    policies should not pay for a tuple per request;
     ``seek_floor_l[d]`` is the least seek time of any distance >= ``d``,
     an exact lower bound even for a seek curve that is not monotone.
     """
@@ -131,7 +134,7 @@ class KernelQueueView:
         "head_surface", "actuator_free", "rotation_ms", "head_switch_ms",
         "zero_latency", "track_first_l", "surfaces", "issue_l",
         "issue_cmd_l", "track_l", "cylinder_l", "seek_lut_l",
-        "seek_floor_l", "pos_l",
+        "seek_floor_l", "pos_l", "pos_cols",
     )
 
     def __init__(self, **fields) -> None:
@@ -139,6 +142,12 @@ class KernelQueueView:
             setattr(self, name, fields.get(name))
         self.keys = []
         self.oldest = 0
+
+    def positions(self) -> list:
+        """:attr:`pos_l`, zipped from ``pos_cols`` on first use."""
+        if self.pos_l is None:
+            self.pos_l = list(zip(*self.pos_cols))
+        return self.pos_l
 
 
 def kernel_oldest(view: KernelQueueView) -> int:
@@ -514,6 +523,8 @@ class SPTFScheduler(Scheduler):
         floor = view.seek_floor_l
         issue_cmd = view.issue_cmd_l
         cols = view.pos_l
+        if cols is None:
+            cols = view.positions()
         head_cyl = view.head_cylinder
         head_surf = view.head_surface
         act_free = view.actuator_free

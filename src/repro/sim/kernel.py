@@ -11,8 +11,8 @@ split into two phases:
 * **vectorized precompute** -- everything that is a pure function of the
   request stream and the immutable drive configuration is computed with
   numpy array math up front: LBN -> (track, cylinder, surface, slot)
-  translation (``searchsorted`` over the per-track tables), seek distances
-  and seek-curve evaluation (a per-curve lookup table), head-switch
+  translation (a cached bucket lookup over the per-track tables), seek
+  distances and seek-curve evaluation (a per-curve lookup table), head-switch
   detection, media-transfer and bus-transfer columns, request validation
   and shard routing;
 * **serial recurrence** -- only the state that genuinely chains from one
@@ -105,6 +105,9 @@ _GEOMETRY_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 #: seek curve -> {n_cylinders: float64 seek-time table}.
 _SEEK_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+#: geometry -> (shift, int32 bucket -> track table) for track_of_lbns.
+_TRACK_BUCKETS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
 
 def geometry_tables(geometry: "DiskGeometry"):
     """Per-track numpy tables for a defect-free geometry (cached).
@@ -147,6 +150,48 @@ def geometry_tables(geometry: "DiskGeometry"):
     tables = (first, count, spt, skew, sector_ms, stream_ms)
     _GEOMETRY_TABLES[geometry] = tables
     return tables
+
+
+def track_of_lbns(np, geometry: "DiskGeometry", lbns):
+    """``searchsorted(first_lbn, lbns, side="right") - 1`` over the per-track
+    first-LBN table: the last track starting at or before each LBN.
+
+    A bisection over the table pays a dozen mispredicted branches per LBN.
+    Instead a cached bucket table records that answer for the first LBN of
+    every ``2**shift``-sector bucket, and each LBN steps forward past the
+    track starts inside its bucket.  A bucket is no longer than the
+    shortest non-empty track, so it holds at most one non-empty track start
+    (plus any empty tracks sharing it) and the stepping takes a few
+    vectorized passes.  The result is the bisection's, empty tracks
+    included.
+    """
+    first, count = geometry_tables(geometry)[:2]
+    buckets = _TRACK_BUCKETS.get(geometry)
+    if buckets is None:
+        if not count.any():
+            return np.searchsorted(first, lbns, side="right") - 1
+        shortest = int(count.min(where=count > 0, initial=count.max()))
+        shift = shortest.bit_length() - 1
+        n_buckets = ((geometry.total_lbns - 1) >> shift) + 1
+        # Bucket b's answer is the number of tracks starting at or before
+        # b << shift, minus one: count each track start in the first
+        # bucket whose start is not below it, then accumulate.
+        starts = first + ((1 << shift) - 1)
+        starts >>= shift
+        np.minimum(starts, n_buckets, out=starts)
+        per_bucket = np.bincount(starts, minlength=n_buckets + 1)[:n_buckets]
+        np.cumsum(per_bucket, out=per_bucket)
+        per_bucket -= 1
+        buckets = (shift, per_bucket.astype(np.int32))
+        _TRACK_BUCKETS[geometry] = buckets
+    shift, table = buckets
+    last = first.shape[0] - 1
+    track = table[np.minimum(lbns >> shift, table.shape[0] - 1)].astype(np.intp)
+    step = (track < last) & (first[np.minimum(track + 1, last)] <= lbns)
+    while step.any():
+        track += step
+        step = (track < last) & (first[np.minimum(track + 1, last)] <= lbns)
+    return track
 
 
 def seek_table(curve: "SeekCurve", n_cylinders: int):
@@ -203,6 +248,7 @@ def clear_kernel_tables() -> None:
     """Drop the cached geometry/seek tables (tests and benchmarks)."""
     _GEOMETRY_TABLES.clear()
     _SEEK_TABLES.clear()
+    _TRACK_BUCKETS.clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -288,14 +334,16 @@ def trace_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
     counts = np.asarray(ordered.counts, dtype=np.int64)
     issue = np.asarray(ordered.issue_ms, dtype=np.float64)
     n = int(lbns.shape[0])
-    op_codes = np.fromiter(
-        (0 if op == READ else (1 if op == WRITE else 2) for op in ordered.ops),
-        dtype=np.int8,
-        count=n,
-    )
-    if (op_codes == 2).any():
+    # Opcodes are counted and compared at C speed: most traces are all
+    # reads, and a mixed one is compared as an object array.
+    ops = ordered.ops
+    reads = ops.count(READ)
+    if reads == n:
+        is_read = np.ones(n, dtype=bool)
+    elif reads + ops.count(WRITE) != n:
         return None, "unknown opcode"
-    is_read = op_codes == 0
+    else:
+        is_read = np.asarray(np.array(ops, dtype=object) == READ, dtype=bool)
     if counts.min() <= 0 or lbns.min() < 0:
         return None, "invalid request"
     if int((lbns + counts).max()) > fleet.total_lbns:
@@ -434,19 +482,22 @@ def _service_shard_sched(
     surfaces = geometry.surfaces
 
     # ---- vectorized translation (mirrors translate_batch) -------------- #
-    track = np.searchsorted(tr_first, lbns, side="right") - 1
+    track = track_of_lbns(np, geometry, lbns)
     empty = tr_count[track] == 0
     while empty.any():
         track = np.where(empty, track - 1, track)
         empty = tr_count[track] == 0
     first = tr_first[track]
     last = lbns + counts - 1
-    etrack = np.searchsorted(tr_first, last, side="right") - 1
+    etrack = track_of_lbns(np, geometry, last)
     empty = tr_count[etrack] == 0
     while empty.any():
         etrack = np.where(empty, etrack - 1, etrack)
         empty = tr_count[etrack] == 0
     multi = lbns + counts > first + tr_count[track]
+    any_multi = bool(multi.any())
+    cache = drive.cache
+    maintain_cache = cache.enable_caching
 
     cyl = track // surfaces
     surf = track - cyl * surfaces
@@ -479,9 +530,7 @@ def _service_shard_sched(
     issue_l = issue_col.tolist()
     issue_cmd_l = issue_cmd_col.tolist()
     count_l = counts.tolist()
-    lbn_l = lbns.tolist()
     is_read_l = is_read.tolist()
-    multi_l = multi.tolist()
     settle_l = settle_col.tolist()
     spt_l = spt_col.tolist()
     skew_l = skew_col.tolist()
@@ -489,9 +538,12 @@ def _service_shard_sched(
     start_slot_l = start_slot_col.tolist()
     transfer_l = transfer_col.tolist()
     total_bus_l = total_bus_col.tolist()
-    stream_ms_l = tr_stream_ms[track].tolist()
-    ecyl_l = ecyl.tolist()
-    esurf_l = esurf.tolist()
+    # Columns only the multi-track fallback or the cache bookkeeping read.
+    lbn_l = lbns.tolist() if any_multi or maintain_cache else None
+    multi_l = multi.tolist() if any_multi else None
+    ecyl_l = ecyl.tolist() if any_multi else None
+    esurf_l = esurf.tolist() if any_multi else None
+    stream_ms_l = tr_stream_ms[track].tolist() if maintain_cache else None
 
     if arrival:
         # Head position before each request: the previous request's end
@@ -528,11 +580,9 @@ def _service_shard_sched(
             cylinder_l=cyl_l,
             seek_lut_l=seek_lut_l,
             seek_floor_l=seek_floor_list(drive.seek_curve, geometry.cylinders),
-            pos_l=list(
-                zip(
-                    surf_l, settle_l, spt_l, sector_ms_l, skew_l,
-                    start_slot_l, span_col.tolist(),
-                )
+            pos_cols=(
+                surf_l, settle_l, spt_l, sector_ms_l, skew_l, start_slot_l,
+                span_col.tolist(),
             ),
         )
         # One sorted index serves every policy; see KernelQueueView.
@@ -560,8 +610,6 @@ def _service_shard_sched(
     # continuation (reset=False) sees exactly the cache a scalar replay
     # would have left behind.  The reuse gate guarantees no probe ever
     # *hits* during this replay, so recording cannot change its results.
-    cache = drive.cache
-    maintain_cache = cache.enable_caching
     record_read = cache.record_read
     record_write = cache.record_write
 
@@ -579,7 +627,6 @@ def _service_shard_sched(
     head_surf = drive.head_surface
     forced = 0
 
-    any_multi = bool(multi.any())
     service_read = drive._service_read
     service_write = drive._service_write
     account = drive._account
@@ -885,8 +932,8 @@ def _service_shard_sched(
 
     # ---- commit drive state and aggregate counters --------------------- #
     if arrival:
-        head_cyl = ecyl_l[n - 1]
-        head_surf = esurf_l[n - 1]
+        head_cyl = int(ecyl[n - 1])
+        head_surf = int(esurf[n - 1])
         issue_o, comp_o, seek_o, settle_o = issue_l, completions, seek_l, settle_l
         hs_o, transfer_o, bus_o = hs_l, transfer_l, total_bus_l
     drive.actuator_free = act_free

@@ -238,8 +238,8 @@ class _StreamAggregator:
         if not len(result):
             return
         agg = self.shards[shard]
-        agg.issues.extend(result.issue_times)
-        agg.completions.extend(result.completions)
+        agg.issues.fromlist(result.issue_times)
+        agg.completions.fromlist(result.completions)
         agg.requests += len(result)
         # sum(column, acc) continues the left fold of the concatenated
         # column exactly (same additions in the same order).
@@ -268,8 +268,8 @@ class _StreamAggregator:
         if not out.n:
             return
         agg = self.shards[shard]
-        agg.issues.extend(out.issue)
-        agg.completions.extend(out.completions)
+        agg.issues.fromlist(out.issue)
+        agg.completions.fromlist(out.completions)
         agg.requests += out.n
         agg.seek = sum(out.seek, agg.seek)
         agg.settle = sum(out.settle, agg.settle)

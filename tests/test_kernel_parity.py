@@ -14,6 +14,7 @@ engine must silently degrade to the scalar path.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -26,7 +27,9 @@ from repro.api import DriveConfig, FleetConfig, build_drive, build_fleet, stripe
 from repro.api.factory import clear_drive_build_cache
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.cache import FirmwareCache
+from repro.disksim.specs import SpareScheme, available_models
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine
+from repro.sim.kernel import track_of_lbns
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -138,6 +141,55 @@ def test_unaligned_multitrack_requests_fall_back_per_request():
     trace = random_trace(nocache_drive().geometry, 400)
     scalar, fast = assert_parity(trace, nocache_drive)
     assert scalar.reads > 0 and scalar.writes > 0
+
+
+def spare_track_specs():
+    """Test specs whose geometry reserves whole spare tracks per zone: a
+    defect-free geometry with empty (zero-LBN) tracks."""
+    return dataclasses.replace(
+        small_test_specs(**SMALL),
+        spare_scheme=SpareScheme.TRACKS_PER_ZONE,
+        spare_count=2,
+    )
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_bucket_track_lookup_matches_bisection(model):
+    import numpy as np
+
+    geometries = [
+        DiskGeometry(small_test_specs(model, **SMALL)),
+        DiskGeometry(spare_track_specs()),
+        DiskGeometry.with_random_defects(
+            small_test_specs(model, **SMALL), defect_count=10, seed=3
+        ),
+    ]
+    assert any(0 in g._track_lbn_count for g in geometries)
+    rng = random.Random(5)
+    for geometry in geometries:
+        first = np.asarray(geometry._track_first_lbn, dtype=np.int64)
+        probes = {0, geometry.total_lbns - 1}
+        for lbn in geometry._track_first_lbn:
+            probes.update((lbn - 1, lbn, lbn + 1))
+        probes.update(rng.randrange(geometry.total_lbns) for _ in range(500))
+        lbns = np.asarray(
+            sorted(p for p in probes if 0 <= p < geometry.total_lbns),
+            dtype=np.int64,
+        )
+        expected = np.searchsorted(first, lbns, side="right") - 1
+        got = track_of_lbns(np, geometry, lbns)
+        assert got.tolist() == expected.tolist()
+
+
+def test_spare_track_geometry_runs_the_kernel():
+    def make_drive():
+        return DiskDrive(spare_track_specs(), cache=FirmwareCache(enable_caching=False))
+
+    geometry = make_drive().geometry
+    assert not geometry.has_defects
+    assert 0 in geometry._track_lbn_count
+    trace = random_trace(geometry, 300, seed=21)
+    assert_parity(trace, make_drive)
 
 
 def test_non_zero_latency_model():
