@@ -168,8 +168,6 @@ def track_of_lbns(np, geometry: "DiskGeometry", lbns):
     first, count = geometry_tables(geometry)[:2]
     buckets = _TRACK_BUCKETS.get(geometry)
     if buckets is None:
-        if not count.any():
-            return np.searchsorted(first, lbns, side="right") - 1
         shortest = int(count.min(where=count > 0, initial=count.max()))
         shift = shortest.bit_length() - 1
         n_buckets = ((geometry.total_lbns - 1) >> shift) + 1
