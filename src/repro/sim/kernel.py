@@ -26,12 +26,13 @@ split into two phases:
 One service loop, :func:`_service_shard_sched`, serves every kernel
 replay in one of two dispatch orders:
 
-* **arrival order** (``scheduler=None``, open mode only) -- open FCFS.
-  No queue is kept, and seeks and head switches are precomputed columns
-  because the head before each request is the previous request's end
-  track.
-* **scheduled** -- every other policy and closed queues of any depth
-  (closed depth-1 FCFS included): admission and the dispatch-time policy
+* **arrival order** (``scheduler=None``) -- open FCFS, and closed FCFS
+  with a non-negative think time (its admissions stay in issue order, so
+  the oldest pending request is always the next one).  No queue is kept,
+  and seeks and head switches are precomputed columns because the head
+  before each request is the previous request's end track.
+* **scheduled** -- every other policy, and closed FCFS with a negative
+  think time: admission and the dispatch-time policy
   decision stay in the serial loop, which keeps the pending queue as one
   LBN-sorted index; the choice is delegated to the scheduler's
   ``kernel_select`` hook over that index and precomputed columns
@@ -432,12 +433,16 @@ def _service_shard_sched(
 
     Two dispatch orders share that loop:
 
-    * ``scheduler=None`` (open mode only) dispatches in **arrival order**:
-      open FCFS, where the scalar path serves requests in issue order with
-      ``mech_start = max(issue + cmd, actuator_free)``.  No queue is kept;
-      the head before each request is the previous request's end track, so
-      seeks and head switches are precomputed columns too, and the input
-      columns double as the outputs.
+    * ``scheduler=None`` dispatches in **arrival order**: open FCFS, where
+      the scalar path serves requests in issue order with
+      ``mech_start = max(issue + cmd, actuator_free)``, and closed FCFS
+      with ``think_ms >= 0``, whose admissions stay in issue order (the
+      first ``depth`` requests at ``now_start``, request ``idx + depth``
+      when request ``idx`` completes, plus ``think_ms``), so the oldest
+      pending request is the next index.  No queue is kept; the head
+      before each request is the previous request's end track, so seeks
+      and head switches are precomputed columns too, and the input columns
+      double as the outputs.
     * otherwise the loop interleaves admission (requests entering the
       pending queue) with dispatch, asking the scheduler's
       ``kernel_select`` hook to pick from a
@@ -523,6 +528,10 @@ def _service_shard_sched(
         # Closed mode: admission times are decided by the loop below.
         issue_col = np.zeros(n, dtype=np.float64)
         issue_cmd_col = np.zeros(n, dtype=np.float64)
+        if arrival:
+            # The first ``depth`` requests are admitted at the start.
+            issue_col[:depth] = now_start
+            issue_cmd_col[:depth] = now_start + cmd_ms
 
     # ---- python-scalar views for the serial loop ----------------------- #
     issue_l = issue_col.tolist()
@@ -637,7 +646,7 @@ def _service_shard_sched(
     # helper-call overhead are measurable at kernel speeds.
     now = now_start
     i = 0
-    if not open_mode:
+    if not open_mode and not arrival:
         while i < n and len(keys) < depth:
             issue_l[i] = now
             issue_cmd_l[i] = now + cmd_ms
@@ -742,16 +751,16 @@ def _service_shard_sched(
                 transfer_l[idx] = done.media_transfer_ms
                 total_bus_l[idx] = done.bus_ms
                 completions[idx] = completion
-                continue
-            head_cyl = ecyl_l[idx]
-            head_surf = esurf_l[idx]
-            issue_o.append(t_issue)
-            comp_o.append(completion)
-            seek_o.append(done.seek_ms)
-            settle_o.append(done.settle_ms)
-            hs_o.append(done.head_switch_ms)
-            transfer_o.append(done.media_transfer_ms)
-            bus_o.append(done.bus_ms)
+            else:
+                head_cyl = ecyl_l[idx]
+                head_surf = esurf_l[idx]
+                issue_o.append(t_issue)
+                comp_o.append(completion)
+                seek_o.append(done.seek_ms)
+                settle_o.append(done.settle_ms)
+                hs_o.append(done.head_switch_ms)
+                transfer_o.append(done.media_transfer_ms)
+                bus_o.append(done.bus_ms)
         else:
             # ------------- inlined single-track service ------------------ #
             count = count_l[idx]
@@ -904,21 +913,27 @@ def _service_shard_sched(
             overlap_sum += overlap
             if arrival:
                 completions[idx] = completion
-                continue
-            head_cyl = cyl_l[idx]
-            head_surf = surf_l[idx]
-            issue_o.append(issue_l[idx])
-            comp_o.append(completion)
-            seek_o.append(seek_ms)
-            settle_o.append(settle_l[idx])
-            hs_o.append(hs_ms)
-            transfer_o.append(transfer)
-            bus_o.append(total_bus)
+            else:
+                head_cyl = cyl_l[idx]
+                head_surf = surf_l[idx]
+                issue_o.append(issue_l[idx])
+                comp_o.append(completion)
+                seek_o.append(seek_ms)
+                settle_o.append(settle_l[idx])
+                hs_o.append(hs_ms)
+                transfer_o.append(transfer)
+                bus_o.append(total_bus)
 
         # ---- closed-loop think time + next admission ------------------- #
         if not open_mode:
             now = completion + think_ms
-            if i < n:
+            if arrival:
+                # Request idx's completion admits request idx + depth.
+                nxt = idx + depth
+                if nxt < n:
+                    issue_l[nxt] = now
+                    issue_cmd_l[nxt] = now + cmd_ms
+            elif i < n:
                 if now < issue_l[i - 1]:
                     # Only a negative think time admits out of issue
                     # order; from here on the oldest is searched for.

@@ -709,11 +709,19 @@ def _serve_sched_chunk(
 
     Each shard gets a fresh scheduler clone, continues its accumulator
     fold from ``agg`` and its closed-loop clock from ``now`` (updated in
-    place).  Returns the chunk's forced-dispatch count."""
+    place).  Returns the chunk's forced-dispatch count.
+
+    Closed FCFS with a non-negative think time keeps no queue: its
+    admissions stay in issue order, so the oldest pending request -- the
+    FCFS pick, never a forced dispatch -- is always the next one in trace
+    order, and the kernel dispatches in arrival order."""
     from .kernel import _service_shard_sched
 
     fleet = engine.fleet
     forced = 0
+    arrival = (
+        mode == "closed" and engine.scheduler_name == "fcfs" and think_ms >= 0.0
+    )
     for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
         zip(shard_cols, fleet.drives)
     ):
@@ -722,8 +730,10 @@ def _serve_sched_chunk(
             continue
         fleet.routed_requests += n
         sh = agg.shards[shard]
-        sched = engine.scheduler.clone()
-        sched.kernel_reset()
+        sched = None
+        if not arrival:
+            sched = engine.scheduler.clone()
+            sched.kernel_reset()
         out, shard_forced, now[shard] = _service_shard_sched(
             np, drive, sched, s_lbns, s_counts, s_issue, s_read,
             mode, engine.queue_depth, think_ms,
@@ -744,7 +754,8 @@ def _stream_closed_fcfs(
     reset: bool,
 ):
     """Closed FCFS depth-1 (onereq) streaming with a carried per-shard
-    clock; kernel chunks via the scheduled kernel, scalar chunks via the
+    clock; kernel chunks via the kernel (in arrival order unless the think
+    time is negative, see :func:`_serve_sched_chunk`), scalar chunks via the
     exact per-shard sequential loop (shards are independent, so serving
     them one after another gives the same per-shard results as any
     fleet-wide interleaving)."""

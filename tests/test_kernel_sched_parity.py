@@ -15,8 +15,10 @@ and requires ``ReplayStats.to_dict()`` equality, which covers every float
   seek curve that is not monotone (SPTF's early stop),
 * starvation-bound forced dispatches,
 * deterministic sequence tie-breaking on duplicate LBNs,
-* multi-drive fleets, FCFS depth-1 (classic onereq), and every
-  honest-fallback reason (numpy absent, custom scheduler, warm cache).
+* multi-drive fleets, FCFS depth-1 (classic onereq), closed FCFS with
+  non-negative (queue-free arrival order) and negative think times, and
+  every honest-fallback reason (numpy absent, custom scheduler, warm
+  cache).
 
 The suite is dual-mode: with numpy installed the fast side runs through
 ``kernel_sched``; without numpy it honestly degrades to the scalar loop
@@ -265,6 +267,31 @@ def test_fcfs_closed_depth1_is_classic_onereq():
     assert engine.last_replay_path == FAST_PATH
     assert "forced_dispatches" not in kernel.get("extras", {})
     assert kernel == scalar
+
+
+@pytest.mark.parametrize("think_ms", (0.0, 0.7, -25.0))
+@pytest.mark.parametrize("depth", (1, 8, 500))
+def test_closed_fcfs_matches_across_think_times(depth, think_ms):
+    # With a non-negative think time closed FCFS admits in issue order, so
+    # the kernel dispatches in trace order without a queue; a negative one
+    # admits out of issue order and keeps the queue.  Both must match the
+    # scalar loop, multi-track requests and the starvation bound included.
+    drive = cacheless_drive()
+    trace = random_trace(drive, n=150, seed=13)
+    rng = random.Random(2)
+    for i in range(0, len(trace), 5):
+        trace.counts[i] = rng.randint(300, 1500)
+        trace.lbns[i] = rng.randrange(drive.geometry.total_lbns - 1500)
+    payloads = []
+    for fast in (True, False):
+        engine = TraceReplayEngine(
+            cacheless_drive(), fast=fast, scheduler="fcfs",
+            queue_depth=depth, starvation_ms=4.0,
+        )
+        payloads.append(engine.replay_closed(trace, think_ms=think_ms).to_dict())
+        if fast:
+            assert engine.last_replay_path == FAST_PATH
+    assert payloads[0] == payloads[1]
 
 
 # --------------------------------------------------------------------------- #
