@@ -214,6 +214,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown replay mode {self.mode!r}; one of {MODES}")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be positive")
+        if self.think_ms < 0:
+            # A negative think time would admit each closed-loop request
+            # before the completion that releases it.
+            raise ConfigError("think_ms must be non-negative")
         policy = self.options.get("scheduler")
         if isinstance(policy, str) and policy != policy.lower():
             # Policy names are case-insensitive at lookup time; normalise

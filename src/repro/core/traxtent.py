@@ -190,14 +190,23 @@ class TraxtentMap:
         start_lbn: int = 0,
         end_lbn: int | None = None,
     ) -> "TraxtentMap":
-        """Ground-truth map straight from the simulated drive's geometry."""
+        """Ground-truth map straight from the simulated drive's geometry:
+        every LBN-holding track that lies wholly inside
+        ``[start_lbn, end_lbn)``.
+
+        Track first LBNs never decrease, so only the tracks whose first LBN
+        is in the range are visited (two bisections), not the whole disk.
+        """
         end = geometry.total_lbns if end_lbn is None else end_lbn
-        extents = [
-            Traxtent(extent.first_lbn, extent.lbn_count)
-            for extent in geometry.track_extents()
-            if extent.first_lbn >= start_lbn and extent.first_lbn + extent.lbn_count <= end
-        ]
-        return cls(extents)
+        firsts = geometry._track_first_lbn
+        counts = geometry._track_lbn_count
+        lo = bisect.bisect_left(firsts, start_lbn)
+        hi = bisect.bisect_left(firsts, end, lo)
+        return cls(
+            Traxtent(firsts[track], counts[track])
+            for track in range(lo, hi)
+            if counts[track] and firsts[track] + counts[track] <= end
+        )
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "TraxtentMap":

@@ -38,8 +38,15 @@ replay in one of two dispatch orders:
   ``kernel_select`` hook over that index and precomputed columns
   (:class:`~repro.disksim.sched.KernelQueueView`).
 
-Each dispatched request is serviced by the same inlined single-track
-arithmetic.  The loop takes running accumulators, so a chunked replay
+Each dispatched request is served inside the loop.  A single-track
+request runs inlined arithmetic; a request that spans tracks (an
+unaligned one, the paper's baseline) walks its pieces -- the non-empty
+tracks it covers, gathered once per chunk from the per-track tables by
+:func:`_track_pieces` -- in :func:`_serve_pieces`, which mirrors the
+drive's media access and bus model (head switch and seek into each piece,
+zero latency on whole-track pieces only, streamed or buffered bus
+delivery).  Only the head's arrival time and the drive's clocks are
+dynamic.  The loop takes running accumulators, so a chunked replay
 continues the fold of earlier chunks bitwise-exactly.
 
 The helpers here return a refusal reason (and the stream driver falls
@@ -66,10 +73,6 @@ matching kernel hooks is refused by
 :func:`repro.disksim.sched.kernel_fallback_reason`
 (``"scheduler not kernel-vectorizable"``).
 
-Requests that span multiple tracks are serviced through the drive's exact
-scalar code with state synced both ways (exactly like ``submit_batch``
-does), so unaligned traces still replay through the kernel.
-
 On caching-enabled drives the kernel performs the same
 ``record_read``/``record_write`` cache bookkeeping as the scalar path
 (recording cannot change this replay's results -- the reuse gates
@@ -84,7 +87,7 @@ import weakref
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING
 
-from ..disksim.drive import READ, WRITE, DiskRequest
+from ..disksim.drive import READ, WRITE
 from ..disksim.geometry import _numpy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -404,6 +407,153 @@ class _ShardOutcome:
         self.busy_sum = 0.0
 
 
+def _track_pieces(np, drive: "DiskDrive", multi, lbns, counts, track, etrack):
+    """The pieces of every multi-track row, as ``DiskDrive._split_by_track``
+    cuts them: the non-empty tracks from ``track`` to ``etrack``.
+
+    Returns ``({row: [piece, ...]}, transfer)``.  A piece is the tuple
+    ``(switch, spt, sector_ms, skew, slot, count, zero_latency, transfer,
+    revolution, after)``: the head-switch cost into it (``head_switch_ms``,
+    plus the seek when it crosses a cylinder; 0.0 for the first piece,
+    which adding leaves the clock unchanged), its
+    track's constants, its first slot and sector count, whether
+    zero-latency access applies (only to a whole-track piece), its
+    transfer and full-revolution times, and how many of the request's
+    sectors follow it.  ``transfer`` holds each row's media-transfer time,
+    folded over its pieces in order like ``_media_access`` does.
+    """
+    geometry = drive.geometry
+    tr_first, tr_count, tr_spt, tr_skew, tr_sector_ms = geometry_tables(geometry)[:5]
+    seek_lut = seek_table(drive.seek_curve, geometry.cylinders)
+    head_switch_ms = drive.specs.head_switch_ms
+    rows = np.flatnonzero(multi)
+    lo_track = track[rows]
+    span = etrack[rows] - lo_track + 1
+    owner = np.repeat(np.arange(rows.shape[0]), span)
+    ptrack = np.arange(owner.shape[0]) + np.repeat(
+        lo_track - (np.cumsum(span) - span), span
+    )
+    live = tr_count[ptrack] > 0
+    owner = owner[live]
+    ptrack = ptrack[live]
+    first = tr_first[ptrack]
+    start = np.maximum(lbns[rows][owner], first)
+    end = (lbns + counts)[rows][owner]
+    stop = np.minimum(end, first + tr_count[ptrack])
+    pcount = stop - start
+    spt = tr_spt[ptrack]
+    sector_ms = tr_sector_ms[ptrack]
+    transfer = pcount * sector_ms
+    lead = np.ones(owner.shape[0], dtype=bool)
+    lead[1:] = owner[1:] != owner[:-1]
+    cyl = ptrack // geometry.surfaces
+    gap = np.zeros(owner.shape[0], dtype=np.int64)
+    gap[1:] = np.abs(cyl[1:] - cyl[:-1])
+    switch = np.where(gap == 0, head_switch_ms, head_switch_ms + seek_lut[gap])
+    switch[lead] = 0.0
+    # Left fold 0.0 + t0 + t1 + ... per row, one piece rank at a time.
+    bounds = np.append(np.flatnonzero(lead), owner.shape[0])
+    rank = np.arange(owner.shape[0]) - np.repeat(bounds[:-1], np.diff(bounds))
+    fold = np.zeros(rows.shape[0], dtype=np.float64)
+    for k in range(int(rank.max()) + 1):
+        at = rank == k
+        fold[owner[at]] += transfer[at]
+    pieces = list(zip(
+        switch.tolist(), spt.tolist(), sector_ms.tolist(),
+        tr_skew[ptrack].tolist(), (start - first).tolist(), pcount.tolist(),
+        ((pcount >= spt) & drive.zero_latency).tolist(), transfer.tolist(),
+        (spt * sector_ms).tolist(), (end - stop).tolist(),
+    ))
+    bounds = bounds.tolist()
+    return (
+        {
+            row: pieces[a:b]
+            for row, a, b in zip(rows.tolist(), bounds, bounds[1:])
+        },
+        fold,
+    )
+
+
+def _serve_pieces(pieces, t, hs_ms, rotation, floor, total_bus, bus_sector):
+    """Serve one multi-track request whose head arrives at ``t``.
+
+    Mirrors ``DiskDrive._media_access`` piece by piece (head switch and
+    seek into each piece, rotational latency, zero-latency wrap on whole
+    tracks) and, for a read (``floor`` is the bus floor, ``None`` for a
+    write), ``Bus.read_completion`` over the pieces' media runs, float
+    operation for float operation.  Runs are visited in LBN order; the
+    bus's time sort leaves them in that order exactly when their start
+    times never decrease, which is when the data streams to the host.
+
+    Returns ``(media_end, latency, head_switch, bus_completion, overlap)``;
+    the last two are ``None`` for a write.
+    """
+    latency = 0.0
+    bus_end = last_begin = stream = float("-inf")
+    prefix = 0.0
+    in_order = True
+    for sw, spt, sector_ms, skew, slot, cnt, zl, transfer, rev, after in pieces:
+        hs_ms += sw
+        t += sw
+        rel = ((((t % rotation) / rotation) * spt - skew) % spt - slot) % spt
+        if rel >= cnt or not zl:
+            lat = (spt - rel) * sector_ms
+            media_ms = lat + transfer
+            runs = ((lat, media_ms, cnt, after),)
+        else:
+            split = int(rel) + 1
+            if split > cnt:
+                split = cnt
+            tail = cnt - split
+            media_ms = rev
+            lat = rev - transfer
+            runs = ((rev - split * sector_ms, rev, split, after + tail),)
+            if tail > 0:
+                tb = (split - rel) * sector_ms if split > rel else 0.0
+                if tb < 0.0:
+                    tb = 0.0
+                runs += ((tb, tb + tail * sector_ms, tail, after),)
+        latency += lat
+        if floor is not None:
+            for begin, end, run_cnt, left in runs:
+                begin = t + begin
+                end = t + end
+                if end > bus_end:
+                    bus_end = end
+                if in_order:
+                    if begin < last_begin:
+                        in_order = False
+                        continue
+                    last_begin = begin
+                    # Prefix [0, j) is buffered once every run before j
+                    # is; j is this run's end, ``left`` sectors remain.
+                    avail = begin + run_cnt * ((end - begin) / run_cnt)
+                    if avail > prefix:
+                        prefix = avail
+                    cand = (prefix if prefix > floor else floor) + left * bus_sector
+                    if cand > stream:
+                        stream = cand
+        t += media_ms
+    if floor is None:
+        return t, latency, hs_ms, None, None
+    if in_order:
+        completion = floor + total_bus
+        alt = bus_end + bus_sector
+        if alt > completion:
+            completion = alt
+        if stream > completion:
+            completion = stream
+        overlap = total_bus - (completion - bus_end)
+        if overlap < 0.0:
+            overlap = 0.0
+        elif overlap > total_bus:
+            overlap = total_bus
+    else:
+        completion = (floor if floor > bus_end else bus_end) + total_bus
+        overlap = 0.0
+    return t, latency, hs_ms, completion, overlap
+
+
 def _service_shard_sched(
     np,
     drive: "DiskDrive",
@@ -428,7 +578,8 @@ def _service_shard_sched(
     only the irreducible serial recurrence -- actuator/bus availability,
     head position, rotation phase and queue admission -- and services each
     dispatched request with ``DiskDrive.submit_batch``'s inlined
-    single-track arithmetic, float operation for float operation, so the
+    single-track arithmetic or, when it spans tracks, with
+    :func:`_serve_pieces`, float operation for float operation, so the
     replay is bitwise identical to the scalar path.
 
     Two dispatch orders share that loop:
@@ -519,6 +670,10 @@ def _service_shard_sched(
     sector_ms_col = tr_sector_ms[track]
     start_slot_col = lbns - first
     transfer_col = counts * sector_ms_col
+    if any_multi:
+        pieces_of, transfer_col[multi] = _track_pieces(
+            np, drive, multi, lbns, counts, track, etrack
+        )
     total_bus_col = counts * bus_sector
     settle_col = np.where(is_read, 0.0, write_settle)
     if open_mode:
@@ -545,18 +700,16 @@ def _service_shard_sched(
     start_slot_l = start_slot_col.tolist()
     transfer_l = transfer_col.tolist()
     total_bus_l = total_bus_col.tolist()
-    # Columns only the multi-track fallback or the cache bookkeeping read.
-    lbn_l = lbns.tolist() if any_multi or maintain_cache else None
     multi_l = multi.tolist() if any_multi else None
-    ecyl_l = ecyl.tolist() if any_multi else None
-    esurf_l = esurf.tolist() if any_multi else None
-    stream_ms_l = tr_stream_ms[track].tolist() if maintain_cache else None
+    # Only the cache bookkeeping reads these; a read's prefetch streams at
+    # the rate of its last LBN's track (zone-crossing reads differ).
+    lbn_l = lbns.tolist() if maintain_cache else None
+    stream_ms_l = tr_stream_ms[etrack].tolist() if maintain_cache else None
 
     if arrival:
         # Head position before each request: the previous request's end
-        # track (requests that fall back to the scalar path also end
-        # there).  Fallback rows overwrite their entries of these columns
-        # and completions are stored by index: the inputs are the outputs.
+        # track.  Multi-track rows overwrite their head-switch entries, and
+        # completions are stored by index: the inputs are the outputs.
         prev_cyl = np.empty_like(ecyl)
         prev_surf = np.empty_like(esurf)
         prev_cyl[0] = drive.head_cylinder
@@ -573,6 +726,9 @@ def _service_shard_sched(
         span_col = np.minimum(counts, spt_col)
         cyl_l = cyl.tolist()
         surf_l = surf.tolist()
+        # Where each request leaves the head: its last piece's track.
+        ecyl_l = ecyl.tolist() if any_multi else cyl_l
+        esurf_l = esurf.tolist() if any_multi else surf_l
         seek_lut_l = seek_table_list(drive.seek_curve, geometry.cylinders)
         view = KernelQueueView(
             n=n,
@@ -624,8 +780,7 @@ def _service_shard_sched(
     overlap_sum = overlap_start
     busy_sum = busy_start
     # The drive's cumulative busy counter is its own left fold in dispatch
-    # order (seeded from the drive, not from ``busy_start``), handed to and
-    # taken back from the scalar fallback around every multi-track row.
+    # order (seeded from the drive, not from ``busy_start``).
     stats = drive.stats
     stat_busy = stats.busy_ms
     act_free = drive.actuator_free
@@ -634,16 +789,13 @@ def _service_shard_sched(
     head_surf = drive.head_surface
     forced = 0
 
-    service_read = drive._service_read
-    service_write = drive._service_write
-    account = drive._account
-
     # ---- the serial recurrence: admission + dispatch ------------------- #
     # One monolithic loop with every piece of live state in plain locals.
     # The pop mirror (Scheduler.pop: starvation bound first, then the
     # policy, with forced-dispatch accounting and removal hooks) and the
     # single-track service arithmetic are inlined: closure cells and
-    # helper-call overhead are measurable at kernel speeds.
+    # helper-call overhead are measurable at kernel speeds.  Multi-track
+    # rows walk their pieces in one helper call (_serve_pieces).
     now = now_start
     i = 0
     if not open_mode and not arrival:
@@ -713,85 +865,49 @@ def _service_shard_sched(
         if act_free > mech_start:
             mech_start = act_free
 
+        count = count_l[idx]
+        if arrival:
+            seek_ms = seek_l[idx]
+            hs_ms = hs_l[idx]
+        else:
+            distance = cyl_l[idx] - head_cyl
+            if distance < 0:
+                distance = -distance
+            seek_ms = seek_lut_l[distance]
+            hs_ms = 0.0
+            if distance == 0 and surf_l[idx] != head_surf:
+                hs_ms = head_switch_cost
+        transfer = transfer_l[idx]
+        total_bus = total_bus_l[idx]
+        is_read_row = is_read_l[idx]
+
+        if is_read_row:
+            t = mech_start + seek_ms + hs_ms
+            floor = issue_cmd_l[idx]
+            if b_free > floor:
+                floor = b_free
+        else:
+            start_w = issue_cmd_l[idx]
+            if b_free > start_w:
+                start_w = b_free
+            first_ready = start_w + bus_sector
+            bus_done = start_w + total_bus
+            t = mech_start + seek_ms + write_settle + hs_ms
+            if first_ready > t:
+                t = first_ready
+            floor = None
+
         if any_multi and multi_l[idx]:
-            # Multi-track request: exact scalar fallback with state synced
-            # both ways (same contract as submit_batch's fallback).  The
-            # reuse gate guarantees its cache lookup misses.
-            if not arrival:
-                drive.head_cylinder = head_cyl
-                drive.head_surface = head_surf
-            elif idx:
-                drive.head_cylinder = ecyl_l[idx - 1]
-                drive.head_surface = esurf_l[idx - 1]
-            drive.actuator_free = act_free
-            drive.bus_free = b_free
-            stats.busy_ms = stat_busy
-            t_issue = issue_l[idx]
-            count = count_l[idx]
-            if is_read_l[idx]:
-                done = service_read(
-                    DiskRequest(READ, lbn_l[idx], count), t_issue, mech_start
-                )
-            else:
-                done = service_write(
-                    DiskRequest(WRITE, lbn_l[idx], count), t_issue, mech_start
-                )
-            account(done)
-            stat_busy = stats.busy_ms
-            act_free = drive.actuator_free
-            b_free = drive.bus_free
-            latency_sum += done.rotational_latency_ms
-            overlap_sum += done.bus_overlap_ms
-            busy_sum += done.media_busy_ms
-            completion = done.completion
+            # ------------- multi-track service (head switches) ----------- #
+            media_end, latency, hs_ms, bus_completion, overlap = _serve_pieces(
+                pieces_of[idx], t, hs_ms, rotation, floor, total_bus, bus_sector
+            )
             if arrival:
-                seek_l[idx] = done.seek_ms
-                settle_l[idx] = done.settle_ms
-                hs_l[idx] = done.head_switch_ms
-                transfer_l[idx] = done.media_transfer_ms
-                total_bus_l[idx] = done.bus_ms
-                completions[idx] = completion
-            else:
-                head_cyl = ecyl_l[idx]
-                head_surf = esurf_l[idx]
-                issue_o.append(t_issue)
-                comp_o.append(completion)
-                seek_o.append(done.seek_ms)
-                settle_o.append(done.settle_ms)
-                hs_o.append(done.head_switch_ms)
-                transfer_o.append(done.media_transfer_ms)
-                bus_o.append(done.bus_ms)
+                hs_l[idx] = hs_ms
         else:
             # ------------- inlined single-track service ------------------ #
-            count = count_l[idx]
-            if arrival:
-                seek_ms = seek_l[idx]
-                hs_ms = hs_l[idx]
-            else:
-                distance = cyl_l[idx] - head_cyl
-                if distance < 0:
-                    distance = -distance
-                seek_ms = seek_lut_l[distance]
-                hs_ms = 0.0
-                if distance == 0 and surf_l[idx] != head_surf:
-                    hs_ms = head_switch_cost
             spt = spt_l[idx]
             sector_ms = sector_ms_l[idx]
-            transfer = transfer_l[idx]
-            total_bus = total_bus_l[idx]
-
-            if is_read_l[idx]:
-                t = mech_start + seek_ms + hs_ms
-            else:
-                start_w = issue_cmd_l[idx]
-                if b_free > start_w:
-                    start_w = b_free
-                first_ready = start_w + bus_sector
-                bus_done = start_w + total_bus
-                t = mech_start + seek_ms + write_settle + hs_ms
-                if first_ready > t:
-                    t = first_ready
-
             start_slot = start_slot_l[idx]
             head_angle = ((t % rotation) / rotation) * spt
             head_slot = (head_angle - skew_l[idx]) % spt
@@ -825,10 +941,7 @@ def _service_shard_sched(
 
             media_end = t + media_ms
 
-            if is_read_l[idx]:
-                floor = issue_cmd_l[idx]
-                if b_free > floor:
-                    floor = b_free
+            if is_read_row:
                 if two_runs:
                     a_begin = t + tb
                     a_end = t + tail_end
@@ -886,43 +999,44 @@ def _service_shard_sched(
                     elif overlap > total_bus:
                         overlap = total_bus
 
-                completion = bus_completion if bus_completion > media_end else media_end
-                act_free = media_end
-                if completion > b_free:
-                    b_free = completion
-                if maintain_cache:
-                    record_read(lbn_l[idx], count, media_end, stream_ms_l[idx])
-            else:
-                completion = media_end
-                mn = bus_done if bus_done < media_end else media_end
-                overlap = mn - (first_ready - bus_sector)
-                if overlap < 0.0:
-                    overlap = 0.0
-                if overlap > total_bus:
-                    overlap = total_bus
-                b_free = bus_done
-                act_free = media_end
-                if maintain_cache:
-                    record_write(lbn_l[idx], count)
+        if is_read_row:
+            completion = bus_completion if bus_completion > media_end else media_end
+            act_free = media_end
+            if completion > b_free:
+                b_free = completion
+            if maintain_cache:
+                record_read(lbn_l[idx], count, media_end, stream_ms_l[idx])
+        else:
+            completion = media_end
+            mn = bus_done if bus_done < media_end else media_end
+            overlap = mn - (first_ready - bus_sector)
+            if overlap < 0.0:
+                overlap = 0.0
+            if overlap > total_bus:
+                overlap = total_bus
+            b_free = bus_done
+            act_free = media_end
+            if maintain_cache:
+                record_write(lbn_l[idx], count)
 
-            busy = media_end - mech_start
-            if busy > 0.0:
-                busy_sum += busy
-                stat_busy += busy
-            latency_sum += latency
-            overlap_sum += overlap
-            if arrival:
-                completions[idx] = completion
-            else:
-                head_cyl = cyl_l[idx]
-                head_surf = surf_l[idx]
-                issue_o.append(issue_l[idx])
-                comp_o.append(completion)
-                seek_o.append(seek_ms)
-                settle_o.append(settle_l[idx])
-                hs_o.append(hs_ms)
-                transfer_o.append(transfer)
-                bus_o.append(total_bus)
+        busy = media_end - mech_start
+        if busy > 0.0:
+            busy_sum += busy
+            stat_busy += busy
+        latency_sum += latency
+        overlap_sum += overlap
+        if arrival:
+            completions[idx] = completion
+        else:
+            head_cyl = ecyl_l[idx]
+            head_surf = esurf_l[idx]
+            issue_o.append(issue_l[idx])
+            comp_o.append(completion)
+            seek_o.append(seek_ms)
+            settle_o.append(settle_l[idx])
+            hs_o.append(hs_ms)
+            transfer_o.append(transfer)
+            bus_o.append(total_bus)
 
         # ---- closed-loop think time + next admission ------------------- #
         if not open_mode:
@@ -954,16 +1068,12 @@ def _service_shard_sched(
     drive.head_cylinder = head_cyl
     drive.head_surface = head_surf
 
-    # Fallback rows already credited their integer counters through
-    # _account(); add the inline rows' share.
-    inline = ~multi
-    inline_reads = inline & is_read
-    inline_writes = inline & ~is_read
-    stats.requests += int(np.count_nonzero(inline))
-    stats.reads += int(np.count_nonzero(inline_reads))
-    stats.writes += int(np.count_nonzero(inline_writes))
-    stats.sectors_read += int(counts[inline_reads].sum())
-    stats.sectors_written += int(counts[inline_writes].sum())
+    reads = int(np.count_nonzero(is_read))
+    stats.requests += n
+    stats.reads += reads
+    stats.writes += n - reads
+    stats.sectors_read += int(counts[is_read].sum())
+    stats.sectors_written += int(counts[~is_read].sum())
     stats.busy_ms = stat_busy
 
     out.issue = issue_o

@@ -105,6 +105,11 @@ def test_config_validation_errors():
         ScenarioConfig(mode="sideways")
     with pytest.raises(ConfigError):
         ScenarioConfig(batch_size=0)
+    with pytest.raises(ConfigError, match="think_ms"):
+        ScenarioConfig(mode="closed", think_ms=-25.0)
+    with pytest.raises(ConfigError, match="think_ms"):
+        ScenarioConfig.from_dict({**ScenarioConfig().to_dict(), "think_ms": -0.5})
+    assert ScenarioConfig(mode="closed", think_ms=0.0).think_ms == 0.0
     with pytest.raises(ConfigError):
         FleetConfig(n_drives=0)
     with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 """Tests for TraxtentMap, allocation, request shaping and SCSI queries."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -13,7 +15,8 @@ from repro.core import (
     excluded_blocks,
     usable_block_runs,
 )
-from repro.disksim import AddressError, DiskGeometry, get_specs
+from repro.disksim import AddressError, DiskGeometry, get_specs, small_test_specs
+from repro.disksim.specs import SpareScheme, available_models
 
 
 # --------------------------------------------------------------------------- #
@@ -32,6 +35,52 @@ def test_traxtent_basics():
         Traxtent(-1, 5)
     with pytest.raises(TraxtentError):
         Traxtent(0, 0)
+
+
+def full_walk_map(geometry, start, end):
+    """Every LBN-holding track of the whole disk, filtered to [start, end)."""
+    return TraxtentMap(
+        Traxtent(extent.first_lbn, extent.lbn_count)
+        for extent in geometry.track_extents()
+        if extent.first_lbn >= start and extent.first_lbn + extent.lbn_count <= end
+    )
+
+
+def range_map_geometries():
+    small = dict(cylinders_per_zone=12, num_zones=3)
+    for model in available_models():
+        yield DiskGeometry(small_test_specs(model, **small))
+    yield DiskGeometry(
+        dataclasses.replace(
+            small_test_specs(**small),
+            spare_scheme=SpareScheme.TRACKS_PER_ZONE,
+            spare_count=2,
+        )
+    )
+    yield DiskGeometry.with_random_defects(
+        small_test_specs(**small), defect_count=10, seed=3
+    )
+
+
+def test_ranged_map_equals_the_full_walk_filter():
+    geometries = list(range_map_geometries())
+    assert any(0 in geometry._track_lbn_count for geometry in geometries)
+    for geometry in geometries:
+        total = geometry.total_lbns
+        ranges = [(0, total), (1, total - 1), (total // 3, total // 3 + 1000)]
+        ranges += [geometry.zone_lbn_range(z) for z in range(len(geometry.zones))]
+        first, count = geometry.track_bounds(geometry.track_of_lbn(total // 2))
+        ranges += [(first, first + count), (first + 1, first + count)]
+        for start, end in ranges:
+            try:
+                expected = full_walk_map(geometry, start, end)
+            except TraxtentError:
+                # No whole track fits: both ways refuse the empty map.
+                with pytest.raises(TraxtentError):
+                    TraxtentMap.from_geometry(geometry, start, end)
+                continue
+            assert TraxtentMap.from_geometry(geometry, start, end) == expected
+        assert TraxtentMap.from_geometry(geometry) == full_walk_map(geometry, 0, total)
 
 
 def test_map_matches_geometry_ground_truth(clean_geometry, truth_map):

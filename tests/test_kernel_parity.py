@@ -7,7 +7,9 @@ statistic the exact same float (which trivially satisfies the documented
 ``TraceReplayEngine(fast=False)`` and ``fast=True`` on freshly built
 identical targets and compare the full ``ReplayStats.to_dict()`` payloads,
 across aligned/unaligned, read/write, single-drive and 4-way-sharded
-traces, open queueing regimes and warm-state continuation -- plus the
+traces, multi-track requests (which the kernel serves piece by piece and
+must never hand to the drive's scalar service code), open queueing
+regimes and warm-state continuation -- plus the
 refusal cases (defects, cache-sensitive traces, missing numpy) where the
 engine must silently degrade to the scalar path.
 """
@@ -22,7 +24,10 @@ import pytest
 
 pytest.importorskip("numpy", reason="the columnar kernel requires numpy")
 
-from _parity_helpers import drive_states
+from _parity_helpers import (
+    MANY_ZONES, drive_states, kernel_only, multitrack_trace, slow_bus,
+    zone_crossing_reads,
+)
 from repro.api import DriveConfig, FleetConfig, build_drive, build_fleet, stripe_trace
 from repro.api.factory import clear_drive_build_cache
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
@@ -84,12 +89,15 @@ def random_trace(
     return trace
 
 
-def assert_parity(trace: Trace, make_target, expect_path: str = "kernel"):
+def assert_parity(
+    trace: Trace, make_target, expect_path: str = "kernel", make_fast_target=None
+):
     """Replay ``trace`` both ways on identical fresh targets and compare
-    the ``ReplayStats`` payloads and every drive's end state."""
+    the ``ReplayStats`` payloads and every drive's end state.
+    ``make_fast_target`` (default ``make_target``) builds the fast side's."""
     scalar_engine = TraceReplayEngine(make_target(), fast=False)
     scalar = scalar_engine.replay(trace)
-    fast_engine = TraceReplayEngine(make_target(), fast=True)
+    fast_engine = TraceReplayEngine((make_fast_target or make_target)(), fast=True)
     fast = fast_engine.replay(trace)
     assert fast_engine.last_replay_path == expect_path, fast_engine.last_fast_reason
     assert drive_states(fast_engine) == drive_states(scalar_engine)
@@ -137,10 +145,57 @@ def test_unaligned_single_track_requests():
     assert_parity(trace, nocache_drive)
 
 
-def test_unaligned_multitrack_requests_fall_back_per_request():
+def test_unaligned_multitrack_requests_are_served_inline():
     trace = random_trace(nocache_drive().geometry, 400)
-    scalar, fast = assert_parity(trace, nocache_drive)
+    scalar, fast = assert_parity(
+        trace, nocache_drive, make_fast_target=kernel_only(nocache_drive)
+    )
     assert scalar.reads > 0 and scalar.writes > 0
+
+
+ZERO_LATENCY_AND_ORDINARY = ("Quantum Atlas 10K II", "Seagate Cheetah X15")
+
+
+@pytest.mark.parametrize("bus_mb_per_s", (None, 20.0))
+@pytest.mark.parametrize("model", ZERO_LATENCY_AND_ORDINARY)
+def test_multitrack_pieces_match_scalar(model, bus_mb_per_s):
+    # Two to four pieces per request, whole tracks in the middle, pieces
+    # that seek to the next cylinder or cross a zone boundary.  A 20 MB/s
+    # bus is slower than the media, so an in-order read's completion is
+    # set by when a prefix of its data is buffered, not by its last sector.
+    def make_drive():
+        specs = small_test_specs(model, **SMALL)
+        return DiskDrive(
+            specs,
+            cache=FirmwareCache(enable_caching=False),
+            bus=slow_bus(specs, bus_mb_per_s),
+        )
+
+    assert make_drive().zero_latency == (model == "Quantum Atlas 10K II")
+    trace = multitrack_trace(make_drive().geometry, 300, seed=31)
+    scalar, _ = assert_parity(
+        trace, make_drive, make_fast_target=kernel_only(make_drive)
+    )
+    assert scalar.reads > 0 and scalar.writes > 0
+
+
+@pytest.mark.parametrize("model", ("Quantum Atlas 10K II", "Quantum Atlas 10K"))
+def test_zone_crossing_reads_on_a_caching_drive(model):
+    # The prefetch a read leaves behind streams at its last track's zone
+    # rate, so a zone-crossing read must hand the cache that rate.
+    def make_drive():
+        return DiskDrive(small_test_specs(model, **MANY_ZONES))
+
+    drive = make_drive()
+    assert drive.cache.enable_caching and drive.zero_latency
+    trace = zone_crossing_reads(drive, seed=41)
+    zone_of = drive.geometry.zone_of_lbn
+    assert all(
+        zone_of(lbn) != zone_of(lbn + count - 1)
+        for lbn, count, op in zip(trace.lbns, trace.counts, trace.ops)
+        if op == "read"
+    )
+    assert_parity(trace, make_drive, make_fast_target=kernel_only(make_drive))
 
 
 def spare_track_specs():
@@ -189,7 +244,14 @@ def test_spare_track_geometry_runs_the_kernel():
     assert not geometry.has_defects
     assert 0 in geometry._track_lbn_count
     trace = random_trace(geometry, 300, seed=21)
-    assert_parity(trace, make_drive)
+    # Some requests have an empty spare track between two of their pieces.
+    assert any(
+        0 in geometry._track_lbn_count[
+            geometry.track_of_lbn(lbn):geometry.track_of_lbn(lbn + count - 1)
+        ]
+        for lbn, count in zip(trace.lbns, trace.counts)
+    )
+    assert_parity(trace, make_drive, make_fast_target=kernel_only(make_drive))
 
 
 def test_non_zero_latency_model():

@@ -16,8 +16,12 @@ and requires ``ReplayStats.to_dict()`` equality, which covers every float
 * starvation-bound forced dispatches,
 * deterministic sequence tie-breaking on duplicate LBNs,
 * multi-drive fleets, FCFS depth-1 (classic onereq), closed FCFS with
-  non-negative (queue-free arrival order) and negative think times, and
-  every honest-fallback reason (numpy absent, custom scheduler, warm
+  non-negative (queue-free arrival order) and negative think times,
+* multi-track requests served inside the kernel (open and closed, every
+  policy, zero-latency and ordinary firmware, a bus slower than the
+  media, spare tracks between pieces, zone-crossing reads on a caching
+  drive), compared with every drive's end state as well, and
+* every honest-fallback reason (numpy absent, custom scheduler, warm
   cache).
 
 The suite is dual-mode: with numpy installed the fast side runs through
@@ -28,12 +32,18 @@ it both ways (the ``kernel-parity`` job).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from _parity_helpers import (
+    MANY_ZONES, drive_states, kernel_only, multitrack_trace, slow_bus,
+    zone_crossing_reads,
+)
 from repro.disksim import DiskDrive, FirmwareCache, small_test_specs
 from repro.disksim.sched import Scheduler
+from repro.disksim.specs import SpareScheme
 from repro.sim import Trace, TraceReplayEngine
 
 POLICIES = ("fcfs", "sstf", "sptf", "clook", "traxtent")
@@ -292,6 +302,85 @@ def test_closed_fcfs_matches_across_think_times(depth, think_ms):
         if fast:
             assert engine.last_replay_path == FAST_PATH
     assert payloads[0] == payloads[1]
+
+
+# --------------------------------------------------------------------------- #
+# Multi-track requests: served piece by piece inside the kernel
+# --------------------------------------------------------------------------- #
+
+def replay_multitrack(make_drive, trace, policy, mode, depth=8):
+    """Kernel and scalar replays of ``trace`` on fresh drives: their
+    ``ReplayStats`` payloads and drive end states.  With numpy, the kernel's
+    drive refuses its scalar service code."""
+    results = []
+    for fast in (True, False):
+        drive = (kernel_only(make_drive) if fast and HAVE_NUMPY else make_drive)()
+        engine = TraceReplayEngine(
+            drive, scheduler=policy, queue_depth=depth, fast=fast
+        )
+        if mode == "closed":
+            stats = engine.replay_closed(trace, think_ms=0.0)
+        else:
+            stats = engine.replay(trace)
+        if fast:
+            path = "kernel" if policy == "fcfs" and mode == "open" else FAST_PATH
+            if not HAVE_NUMPY:
+                path = "scalar"
+            assert engine.last_replay_path == path, engine.last_fast_reason
+        results.append((stats.to_dict(), drive_states(engine)))
+    return results
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", ("open", "closed"))
+@pytest.mark.parametrize("model", ("Quantum Atlas 10K II", "Seagate Cheetah X15"))
+@pytest.mark.parametrize("bus_mb_per_s", (None, 20.0))
+def test_multitrack_pieces_match_scalar(policy, mode, model, bus_mb_per_s):
+    # Zero-latency (Atlas) and ordinary (Cheetah) firmware; two to four
+    # pieces per request, pieces that seek to the next cylinder or cross a
+    # zone boundary, reads and writes.  A 20 MB/s bus is slower than the
+    # media, so buffered prefixes of a read set its completion.
+    def make_drive():
+        specs = small_test_specs(model, **SMALL)
+        return DiskDrive(
+            specs,
+            cache=FirmwareCache(enable_caching=False),
+            bus=slow_bus(specs, bus_mb_per_s),
+        )
+
+    trace = multitrack_trace(make_drive().geometry, 160, seed=7, interarrival_ms=2.0)
+    kernel, scalar = replay_multitrack(make_drive, trace, policy, mode)
+    assert kernel == scalar
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", ("open", "closed"))
+def test_multitrack_pieces_skip_spare_tracks(policy, mode):
+    def make_drive():
+        specs = dataclasses.replace(
+            small_test_specs(**SMALL),
+            spare_scheme=SpareScheme.TRACKS_PER_ZONE,
+            spare_count=2,
+        )
+        return DiskDrive(specs, cache=FirmwareCache(enable_caching=False))
+
+    assert 0 in make_drive().geometry._track_lbn_count
+    trace = multitrack_trace(make_drive().geometry, 160, seed=8, interarrival_ms=2.0)
+    kernel, scalar = replay_multitrack(make_drive, trace, policy, mode)
+    assert kernel == scalar
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", ("open", "closed"))
+def test_zone_crossing_reads_on_a_caching_drive(policy, mode):
+    # Cache on: every read leaves a prefetch stream at the rate of its last
+    # track's zone, recorded in the drive end state compared here.
+    def make_drive():
+        return DiskDrive(small_test_specs(**MANY_ZONES))
+
+    trace = zone_crossing_reads(make_drive(), seed=9)
+    kernel, scalar = replay_multitrack(make_drive, trace, policy, mode, depth=4)
+    assert kernel == scalar
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,8 @@ workloads are tie-heavy on purpose:
 * exact duplicate requests (equal LBN: equal cylinder, distance, SPTF key
   and C-LOOK key, broken only by arrival sequence),
 * same-cylinder requests on other surfaces (distance 0 with a head
-  switch) and whole-track requests that share a track,
+  switch), whole-track requests that share a track, and requests that
+  span up to three tracks (served piece by piece),
 * reads and writes (write settle), zero-latency firmware on and off,
 * starvation bounds on and off, one or two drives,
 * open overloaded traces whose backlog passes 64 requests, and closed
@@ -77,9 +78,9 @@ def build_trace(
         if rng.random() < whole_track:
             return first, count
         lbn = first + rng.randrange(count)
-        # Mostly single-track; some spill onto the next track and run
-        # through the kernel's exact multi-track fallback.
-        size = rng.choice((1, 8, 64, 200))
+        # Mostly single-track; some spill onto the next track or two (up
+        # to three pieces) and run through the kernel's multi-track service.
+        size = rng.choice((1, 8, 64, 200, count + 1, 2 * count))
         return lbn, min(size, shard_lbns - lbn)
 
     hot = []

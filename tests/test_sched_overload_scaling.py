@@ -7,11 +7,15 @@ length (quadratic in total).  The scheduled kernel keeps the queue in an
 LBN-sorted index, so per-request cost should stay nearly flat.
 
 The guard replays a 2000-request prefix and the whole 8000-request trace
-per policy, interleaved, best of 3 each, and compares host CPU seconds
-per request (process time, so other processes' load on a shared host
-does not count).  SSTF, C-LOOK and traxtent must stay within 1.5x.
-SPTF's ratio is printed, not asserted: its candidate count still grows
-with queue density (more requests within any seek distance of the head).
+per policy as 5 back-to-back pairs (alternating which runs first) and
+takes each pair's ratio of host CPU seconds per request (process time, so
+other processes' load on a shared host does not count).  A noise spike
+on a shared host slows one replay, so it skews one pair's ratio, not the
+median over pairs: SSTF, C-LOOK and traxtent must keep that median within
+1.5x.  The printed line gives each policy's median and the range over its
+pairs.  SPTF's ratio is printed, not asserted: its candidate count still
+grows with queue density (more requests within any seek distance of the
+head).
 
 The trace has the shape of the repo benchmark's ``sched-overload``
 workload: two cache-off drives, every request one whole track, ~30%
@@ -22,6 +26,7 @@ whole-track requests on this fleet).
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import pytest
@@ -37,7 +42,7 @@ RATE_RPS = 380.0
 WRITE_FRACTION = 0.3
 SMALL = 2000
 LARGE = 8000
-REPEATS = 3
+PAIRS = 5
 MAX_GROWTH = 1.5
 GUARDED = ("sstf", "clook", "traxtent")
 
@@ -74,16 +79,29 @@ def test_per_request_cost_stays_flat_as_the_backlog_grows():
     fleet = build_fleet(FleetConfig(n_drives=2), DriveConfig(enable_caching=False))
     large = overload_trace(fleet, LARGE)
     small = large.slice(0, SMALL)
+    seconds(fleet, GUARDED[0], small)  # builds the kernel's cached tables
     growth = {}
+    spread = {}
     for policy in GUARDED + ("sptf",):
-        best_small = best_large = float("inf")
-        for _ in range(REPEATS):
-            best_small = min(best_small, seconds(fleet, policy, small))
-            best_large = min(best_large, seconds(fleet, policy, large))
-        growth[policy] = (best_large / LARGE) / (best_small / SMALL)
+        ratios = []
+        for pair in range(PAIRS):
+            if pair % 2:
+                large_s = seconds(fleet, policy, large)
+                small_s = seconds(fleet, policy, small)
+            else:
+                small_s = seconds(fleet, policy, small)
+                large_s = seconds(fleet, policy, large)
+            ratios.append((large_s / LARGE) / (small_s / SMALL))
+        growth[policy] = statistics.median(ratios)
+        spread[policy] = (min(ratios), max(ratios))
     print(
-        f"\nhost cost per request, {LARGE} vs {SMALL} requests: "
-        + ", ".join(f"{policy} {ratio:.2f}x" for policy, ratio in growth.items())
+        f"\nhost cost per request, {LARGE} vs {SMALL} requests, median of "
+        f"{PAIRS} pairs [range]: "
+        + ", ".join(
+            f"{policy} {growth[policy]:.2f}x "
+            f"[{spread[policy][0]:.2f}-{spread[policy][1]:.2f}]"
+            for policy in growth
+        )
     )
     slow = {
         policy: round(growth[policy], 2)
